@@ -3,19 +3,17 @@
  * Serving throughput/latency bench, two modes:
  *
  * Closed-loop (default): clients submit back-to-back against both
- * paper models end-to-end from checkpoints; at saturation the batcher
- * should deliver a clear throughput multiple over a single-slot
+ * paper models end-to-end from checkpoints; at saturation an 8-slot
+ * server should deliver a clear throughput multiple over a single-slot
  * server — the row pair the table ends with.
  *
  * Open-loop (--open-loop [--reps N]): a heavy-tailed arrival schedule
  * — bursty Poisson arrival times, Zipfian prefix lengths — is
- * generated once and replayed verbatim against the continuous
- * scheduler and the legacy run-to-completion batcher, so both see the
- * SAME offered load with arrivals decoupled from completions.  This
- * is the comparison the continuous scheduler exists for: tail latency
- * at equal offered load, where run-to-completion pays max-wait stalls
- * and head-of-line blocking that slot recycling avoids.  Rows mirror
- * to results/serve_throughput_openloop.csv.
+ * generated per rep and replayed at its recorded timestamps against
+ * the continuous scheduler, so arrivals are decoupled from
+ * completions and tail latency shows the head-of-line effects a
+ * closed loop hides.  Rows mirror to
+ * results/serve_throughput_openloop.csv.
  */
 #include <algorithm>
 #include <chrono>
@@ -54,7 +52,6 @@ runLoad(const std::string &ckpt, const serve::SessionConfig &scfg,
     auto session = serve::InferenceSession::fromCheckpoint(ckpt, scfg);
     serve::ServerConfig server_cfg;
     server_cfg.queue_capacity = 1024; // closed loop: never reject
-    server_cfg.max_wait = std::chrono::microseconds(500);
     serve::Server server(std::move(session), server_cfg);
 
     const auto start = std::chrono::steady_clock::now();
@@ -152,7 +149,7 @@ struct Arrival
  * form a Poisson process (exponential gaps), burst sizes are
  * geometric, and prefix lengths are Zipfian over [1, 8] — most
  * requests are short, a fat tail is long.  The same seed always
- * yields the same trace, so both schedulers see identical load.
+ * yields the same trace.
  */
 std::vector<Arrival>
 makeOpenLoopTrace(uint64_t seed, int n, double mean_gap_us)
@@ -211,18 +208,15 @@ struct OpenLoopResult
     int64_t recycled = 0;
 };
 
-/** Replay @p trace against one scheduler; arrivals never wait on
- *  completions (open loop). */
+/** Replay @p trace; arrivals never wait on completions (open loop). */
 OpenLoopResult
 replayTrace(const std::string &ckpt, const serve::SessionConfig &scfg,
-            serve::SchedulerKind kind, const std::vector<Arrival> &trace)
+            const std::vector<Arrival> &trace)
 {
     auto session = serve::InferenceSession::fromCheckpoint(ckpt, scfg);
     serve::ServerConfig server_cfg;
     server_cfg.queue_capacity = 4096; // measure latency, not shedding
     server_cfg.batch_admit_fraction = 1.0;
-    server_cfg.max_wait = std::chrono::microseconds(1000);
-    server_cfg.scheduler = kind;
     serve::Server server(std::move(session), server_cfg);
 
     std::vector<std::future<serve::Response>> futures;
@@ -257,9 +251,8 @@ runOpenLoop(int reps)
 {
     bench::begin(
         "serve_throughput --open-loop",
-        "tail latency at equal offered load: continuous "
-        "(iteration-level) scheduling vs run-to-completion batching "
-        "under a bursty-Poisson / Zipfian-length arrival trace");
+        "continuous (iteration-level) scheduling latency under a "
+        "bursty-Poisson / Zipfian-length open-loop arrival trace");
     std::error_code ec;
     std::filesystem::create_directories("results", ec);
 
@@ -272,45 +265,22 @@ runOpenLoop(int reps)
                  "p50_ms", "p95_ms", "p99_ms", "wait_p99_ms",
                  "mean_batch", "splices", "recycled"});
 
-    std::vector<double> p99_cont, p99_batch;
     for (int rep = 0; rep < reps; ++rep) {
         const std::vector<Arrival> trace =
             makeOpenLoopTrace(1000 + static_cast<uint64_t>(rep), 200,
                               /*mean_gap_us=*/700.0);
-        for (const serve::SchedulerKind kind :
-             {serve::SchedulerKind::kContinuous,
-              serve::SchedulerKind::kDynamicBatch}) {
-            const bool cont =
-                kind == serve::SchedulerKind::kContinuous;
-            const OpenLoopResult r =
-                replayTrace(ckpt, scfg, kind, trace);
-            (cont ? p99_cont : p99_batch).push_back(r.p99_ms);
-            table.addRow({cont ? "continuous" : "batch",
-                          std::to_string(rep),
-                          Table::fmt(r.offered_rps, 1),
-                          std::to_string(r.completed),
-                          Table::fmt(r.p50_ms, 3),
-                          Table::fmt(r.p95_ms, 3),
-                          Table::fmt(r.p99_ms, 3),
-                          Table::fmt(r.wait_p99_ms, 3),
-                          Table::fmt(r.mean_batch, 2),
-                          std::to_string(r.splices),
-                          std::to_string(r.recycled)});
-        }
+        const OpenLoopResult r = replayTrace(ckpt, scfg, trace);
+        table.addRow({"continuous", std::to_string(rep),
+                      Table::fmt(r.offered_rps, 1),
+                      std::to_string(r.completed),
+                      Table::fmt(r.p50_ms, 3), Table::fmt(r.p95_ms, 3),
+                      Table::fmt(r.p99_ms, 3),
+                      Table::fmt(r.wait_p99_ms, 3),
+                      Table::fmt(r.mean_batch, 2),
+                      std::to_string(r.splices),
+                      std::to_string(r.recycled)});
     }
     bench::emit(table, "serve_throughput_openloop");
-
-    auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
-    };
-    const double cont = median(p99_cont);
-    const double batch = median(p99_batch);
-    bench::note("open-loop p99 at equal offered load: continuous " +
-                Table::fmt(cont, 3) + " ms vs run-to-completion " +
-                Table::fmt(batch, 3) + " ms (" +
-                Table::fmt(batch / cont, 2) + "x, median of " +
-                std::to_string(reps) + " rep(s))");
     return 0;
 }
 
@@ -334,7 +304,7 @@ main(int argc, char **argv)
 
     bench::begin("serve_throughput",
                  "inference-serving throughput and latency percentiles "
-                 "under closed-loop load (dynamic batching on/off)");
+                 "under closed-loop load (8 slots vs 1 slot)");
     std::error_code ec;
     std::filesystem::create_directories("results", ec);
 

@@ -134,15 +134,6 @@ checkRecomputeAudit(const PipelineContext &ctx)
 }
 
 analysis::AnalysisReport
-checkWorkspaceAliasing(const PipelineContext &ctx)
-{
-    if (ctx.serve_journal.empty())
-        return {};
-    return analysis::detectWorkspaceAliasing(ctx.serve_journal,
-                                             ctx.serve_slots);
-}
-
-analysis::AnalysisReport
 checkMemoryPlan(const PipelineContext &ctx)
 {
     // Only meaningful while a memory plan claims to describe the
@@ -263,9 +254,9 @@ checkTapeReady(const PipelineContext &ctx)
 /** Canonical replay order: the structural verifier first (the others
  *  defer to it), then schedule analyses, then the pass audits. */
 const char *const kBuiltinCheckerOrder[] = {
-    "graph-verify",       "lifetime",        "hazards",
-    "fusion-audit",       "recompute-audit", "workspace-aliasing",
-    "memory-plan",        "plan-feasible",   "tape-ready",
+    "graph-verify", "lifetime",      "hazards",
+    "fusion-audit", "recompute-audit", "memory-plan",
+    "plan-feasible", "tape-ready",
 };
 
 std::once_flag builtin_checkers_once;
@@ -279,7 +270,6 @@ ensureBuiltinCheckers()
         registerChecker("hazards", checkHazards);
         registerChecker("fusion-audit", checkFusionAudit);
         registerChecker("recompute-audit", checkRecomputeAudit);
-        registerChecker("workspace-aliasing", checkWorkspaceAliasing);
         registerChecker("memory-plan", checkMemoryPlan);
         registerChecker("plan-feasible", checkPlanFeasible);
         registerChecker("tape-ready", checkTapeReady);

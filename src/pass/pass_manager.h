@@ -17,8 +17,8 @@
  *  (b) runs the matching analysis:: checkers as machine-checked
  *      postconditions after each pass (graph verifier, lifetime
  *      analyzer, hazard detector, auditFusion, auditRecomputePass,
- *      workspace-aliasing — see the checker registry), never trusting a
- *      transform's own bookkeeping;
+ *      the memory-plan and tape replays — see the checker registry),
+ *      never trusting a transform's own bookkeeping;
  *
  *  (c) records a per-pass IR snapshot diff (node / reachable / value /
  *      byte deltas) through obs spans and counters, so a trace of a
@@ -113,11 +113,6 @@ struct PipelineContext
      *  shared_ptr so pipeline consumers — trainers, serving sessions —
      *  can keep running the tape after the context is gone. */
     std::shared_ptr<graph::Tape> tape;
-
-    /** Serving workspace journal, for the workspace-aliasing checker
-     *  (empty outside serving replays). */
-    std::vector<analysis::SlotInterval> serve_journal;
-    int serve_slots = 0;
 
     /** Invariants currently established.  Seeded by PassManager::run
      *  from initialInvariants() and maintained across passes; checkers

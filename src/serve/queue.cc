@@ -19,6 +19,8 @@ rejectReasonName(RejectReason reason)
         return "too-long";
       case RejectReason::kEmpty:
         return "empty";
+      case RejectReason::kBadInput:
+        return "bad-input";
       case RejectReason::kBadModel:
         return "bad-model";
       case RejectReason::kShutdown:
@@ -118,15 +120,6 @@ RequestQueue::tryPop(Request &out)
     out = std::move(items_.front());
     items_.pop_front();
     return true;
-}
-
-bool
-RequestQueue::waitNonEmpty(std::chrono::microseconds timeout)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout,
-                 [&] { return closed_ || !items_.empty(); });
-    return !items_.empty();
 }
 
 void

@@ -5,13 +5,13 @@
  * A Request is one user-visible unit of work: an NMT source sentence
  * to translate (greedy or beam), or a word-LM prefix to score.  The
  * server assigns ids and timestamps at admission; everything after
- * that — batching, decoding, response delivery — is keyed on the id.
+ * that — scheduling, decoding, response delivery — is keyed on the id.
  *
  * The determinism contract: a request's Response payload (tokens and
  * scores) is a pure function of the request and the model parameters —
- * byte-identical regardless of which other requests shared its
- * micro-batch, which length bucket padding it rode in, and how many
- * threads executed the graph.  Latency fields are diagnostics and are
+ * byte-identical regardless of which other requests shared its step
+ * graph, which length bucket padding it rode in, and how many threads
+ * executed the graph.  Latency fields are diagnostics and are
  * exempt.
  */
 #ifndef ECHO_SERVE_REQUEST_H
@@ -32,6 +32,7 @@ enum class RejectReason
     kOverloaded, ///< SLO shed: batch-tier admission above the shed line
     kTooLong,    ///< longer than the largest configured length bucket
     kEmpty,      ///< no tokens
+    kBadInput,   ///< a token id outside the routed model's input vocab
     kBadModel,   ///< names a model no loaded session serves
     kShutdown,   ///< submitted after stop()
     kCancelled,  ///< cancelled by the client before completion
@@ -109,8 +110,8 @@ struct Response
 
     // Diagnostics (not covered by the determinism contract).
     double latency_us = 0.0;     ///< admission -> response
-    double wait_us = 0.0;        ///< admission -> batch emission / splice
-    int64_t batch_requests = 0;  ///< live requests in its micro-batch
+    double wait_us = 0.0;        ///< admission -> splice / direct decode
+    int64_t batch_requests = 0;  ///< live rows in its final step
     int64_t bucket_len = 0;      ///< length bucket it was padded to
 };
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * The serving front end: admission, a worker thread driving either the
- * continuous (iteration-level) scheduler or the legacy run-to-completion
- * dynamic batcher, and latency/wait accounting.
+ * The serving front end: admission, a worker thread driving the
+ * continuous (iteration-level) scheduler, and latency/wait accounting.
  *
  * submit() is thread-safe and non-blocking: invalid or over-capacity
- * requests resolve their future immediately with a RejectReason;
+ * requests — including any token id outside the routed model's input
+ * vocab — resolve their future immediately with a RejectReason;
  * admitted requests resolve when they complete (payload), are
  * cancelled, or their deadline budget expires.  One worker thread owns
  * the sessions (sessions are single-consumer); the parallelism that
@@ -30,35 +30,17 @@
 #include <unordered_map>
 
 #include "core/stats.h"
-#include "serve/batcher.h"
 #include "serve/queue.h"
 #include "serve/scheduler.h"
 #include "serve/session.h"
 
 namespace echo::serve {
 
-/** Which scheduling loop the worker runs. */
-enum class SchedulerKind
-{
-    /** Iteration-level: slots recycle on EOS, waiting requests splice
-     *  into running step graphs mid-flight.  The default. */
-    kContinuous,
-    /** Legacy run-to-completion micro-batches (the differential
-     *  reference, and the baseline the open-loop bench compares). */
-    kDynamicBatch,
-};
-
-/** Server-level knobs (batching policy rides along). */
+/** Server-level knobs. */
 struct ServerConfig
 {
     /** Admission-queue capacity; pushes beyond it reject. */
     size_t queue_capacity = 64;
-
-    /** kDynamicBatch only: how long the oldest pending request may
-     *  wait for same-bucket companions. */
-    std::chrono::microseconds max_wait{2000};
-
-    SchedulerKind scheduler = SchedulerKind::kContinuous;
 
     /** SLO shed line as a fraction of queue_capacity: batch-tier
      *  requests reject kOverloaded once the queue is this full.
@@ -74,11 +56,10 @@ struct ServerStats
     int64_t completed = 0; ///< payloads delivered (ok responses)
     int64_t cancelled = 0; ///< admitted, then cancelled by the client
     int64_t expired = 0;   ///< admitted, then deadline budget ran out
-    /** kDynamicBatch: micro-batches run.  kContinuous: scheduler step
-     *  passes plus atomic direct decodes. */
+    /** Scheduler step passes plus atomic direct decodes. */
     int64_t batches = 0;
-    double mean_batch_requests = 0.0;
-    /** kContinuous only: splices, and splices into recycled slots. */
+    double mean_batch_requests = 0.0; ///< live rows per step pass
+    /** Splices into lane rows, and splices into recycled slots. */
     int64_t splices = 0;
     int64_t recycled_slots = 0;
     double latency_mean_us = 0.0;
@@ -116,12 +97,11 @@ class Server
     std::future<Response> submit(Request r);
 
     /**
-     * Best-effort cancellation (kContinuous only): an admitted request
-     * resolves kCancelled — whether it is still queued, waiting, or
-     * mid-decode (evicted, its slot recycled).  False when the
-     * scheduler cannot cancel (legacy mode) or the id is no longer
-     * inflight (already resolved, or never admitted) — a harmless
-     * no-op; the request's outcome is unchanged.
+     * Best-effort cancellation: an admitted request resolves kCancelled
+     * — whether it is still queued, waiting, or mid-decode (evicted,
+     * its slot recycled).  False when the id is no longer inflight
+     * (already resolved, or never admitted) — a harmless no-op; the
+     * request's outcome is unchanged.
      */
     bool cancel(int64_t id);
 
@@ -133,29 +113,22 @@ class Server
 
     ServerStats stats() const;
 
-    size_t numSessions() const { return sessions_.size(); }
-    const InferenceSession &session(size_t i = 0) const
+    /** The slot-recycling journal (pools offset per session) for
+     *  echo-lint --serve-journal.  Complete after stop(). */
+    std::vector<analysis::SlotLease> leaseJournal() const
     {
-        return *sessions_.at(i);
+        return scheduler_.leaseJournal();
     }
 
-    /** kContinuous: the slot-recycling journal (pools offset per
-     *  session) for echo-lint --serve-journal.  Complete after
-     *  stop(). */
-    std::vector<analysis::SlotLease> leaseJournal() const;
-
     /** The --serve-slots value matching leaseJournal(). */
-    int64_t journalSlots() const;
+    int64_t journalSlots() const { return scheduler_.numSlots(); }
 
   private:
-    void batchWorkerLoop();
     void resolveResponse(Response resp);
-    Response rejected(const Request &r, RejectReason reason) const;
 
     std::vector<std::unique_ptr<InferenceSession>> sessions_;
-    ServerConfig config_;
     RequestQueue queue_;
-    std::unique_ptr<ContinuousScheduler> scheduler_;
+    ContinuousScheduler scheduler_;
 
     std::mutex inflight_mu_;
     std::unordered_map<int64_t, std::promise<Response>> inflight_;
@@ -169,8 +142,6 @@ class Server
     int64_t completed_ = 0;
     int64_t cancelled_ = 0;
     int64_t expired_ = 0;
-    int64_t batches_ = 0;
-    int64_t batched_requests_ = 0;
 
     std::thread worker_;
 };

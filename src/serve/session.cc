@@ -37,10 +37,25 @@ logSoftmaxRow(const Tensor &logits, int64_t r, std::vector<double> &out)
             static_cast<double>(logits.at(r, j)) - log_z;
 }
 
+/** Deterministic argmax (first maximum) of one logits row. */
+int64_t
+argmaxRow(const Tensor &logits, int64_t r)
+{
+    const int64_t v = logits.shape()[1];
+    int64_t best = 0;
+    float best_score = logits.at(r, 0);
+    for (int64_t j = 1; j < v; ++j)
+        if (logits.at(r, j) > best_score) {
+            best_score = logits.at(r, j);
+            best = j;
+        }
+    return best;
+}
+
 /**
  * The word-LM payload: top-k next-token ids and log-probabilities of
- * row @p r of @p logits.  One function serves the run-to-completion
- * and continuous paths so their payload bytes agree by construction.
+ * row @p r of @p logits.  One function serves the direct and lane
+ * paths so their payload bytes agree by construction.
  */
 void
 lmTopKPayload(const Tensor &logits, int64_t r, const Request &req,
@@ -133,23 +148,28 @@ validateSessionConfig(const SessionConfig &cfg)
     ECHO_REQUIRE(cfg.beam_width >= 1, "beam width must be positive");
 }
 
-void
-validateBatch(const MicroBatch &mb, const SessionConfig &cfg)
+/** A payload-less ok Response for @p r padded to @p bucket_len. */
+Response
+directResponse(const Request &r, int64_t bucket_len)
 {
-    ECHO_REQUIRE(!mb.requests.empty() &&
-                     static_cast<int64_t>(mb.requests.size()) <=
-                         cfg.slots,
-                 "micro-batch holds ", mb.requests.size(),
-                 " requests for ", cfg.slots, " slots");
-    for (const Request &r : mb.requests)
-        ECHO_REQUIRE(!r.tokens.empty() &&
-                         static_cast<int64_t>(r.tokens.size()) <=
-                             mb.bucket_len,
-                     "request ", r.id, " does not fit bucket ",
-                     mb.bucket_len);
+    Response resp;
+    resp.id = r.id;
+    resp.ok = true;
+    resp.bucket_len = bucket_len;
+    resp.batch_requests = 1;
+    return resp;
 }
 
 } // namespace
+
+int64_t
+bucketForLength(const std::vector<int64_t> &buckets, int64_t len)
+{
+    for (int64_t b : buckets)
+        if (len <= b)
+            return b;
+    return -1;
+}
 
 InferenceSession::InferenceSession(SessionConfig config)
     : config_(std::move(config))
@@ -158,42 +178,14 @@ InferenceSession::InferenceSession(SessionConfig config)
 }
 
 int64_t
-InferenceSession::bucketIndex(int64_t bucket_len) const
+InferenceSession::bucketIndexFor(const Request &r) const
 {
+    const int64_t len = static_cast<int64_t>(r.tokens.size());
+    ECHO_REQUIRE(len >= 1, "request ", r.id, " has no tokens");
     for (size_t i = 0; i < config_.buckets.size(); ++i)
-        if (config_.buckets[i] == bucket_len)
+        if (len <= config_.buckets[i])
             return static_cast<int64_t>(i);
-    ECHO_FATAL("micro-batch bucket ", bucket_len,
-               " is not a configured bucket");
-}
-
-Response
-InferenceSession::runDirect(const Request &r)
-{
-    MicroBatch mb;
-    mb.bucket_len = bucketForLength(config_.buckets,
-                                    static_cast<int64_t>(r.tokens.size()));
-    ECHO_CHECK(mb.bucket_len > 0, "direct request fits no bucket");
-    mb.requests.push_back(r);
-    std::vector<Response> out;
-    runBatch(mb, out);
-    return std::move(out.front());
-}
-
-void
-InferenceSession::journalBatch(const MicroBatch &mb)
-{
-    const int64_t pool = bucketIndex(mb.bucket_len);
-    for (size_t i = 0; i < mb.requests.size(); ++i) {
-        analysis::SlotInterval iv;
-        iv.request_id = mb.requests[i].id;
-        iv.pool = pool;
-        iv.slot = static_cast<int>(i);
-        iv.acquired = batch_seq_;
-        iv.released = batch_seq_ + 1;
-        journal_.push_back(iv);
-    }
-    ++batch_seq_;
+    ECHO_FATAL("request ", r.id, " of ", len, " tokens fits no bucket");
 }
 
 std::unique_ptr<InferenceSession>
@@ -255,54 +247,31 @@ WordLmSession::describe() const
     return oss.str();
 }
 
-void
-WordLmSession::runBatch(const MicroBatch &mb, std::vector<Response> &out)
+Response
+WordLmSession::runDirect(const Request &r)
 {
-    validateBatch(mb, config_);
-    journalBatch(mb);
+    const int64_t n = static_cast<int64_t>(r.tokens.size());
+    Response resp =
+        directResponse(r, config_.buckets[static_cast<size_t>(
+                              bucketIndexFor(r))]);
     obs::Span span;
     if (obs::traceEnabled())
-        span.begin("serve", "lm_batch",
-                   {{"requests",
-                     static_cast<int64_t>(mb.requests.size())},
-                    {"bucket", mb.bucket_len}});
+        span.begin("serve", "lm_direct", {{"tokens", n}});
 
-    const int64_t b = config_.slots;
-    const int64_t n = static_cast<int64_t>(mb.requests.size());
-    out.assign(mb.requests.size(), Response{});
-
-    Tensor token(Shape({b}));
+    // Row 0 steps the prefix from a fresh state; the other rows pad.
+    // Rows are independent, so row 0 replays exactly what a lane row
+    // spliced with this request computes.
+    Tensor token = Tensor::full(Shape({config_.slots}),
+                                static_cast<float>(data::Vocab::kPad));
     models::WordLmStepper::State state = stepper_.initialState();
-    std::vector<double> logp;
-
-    // Fixed step count per bucket: rows whose prefix ends early keep
-    // stepping on kPad so the batch shape — and hence every row's
-    // arithmetic — is composition-independent.
-    for (int64_t t = 0; t < mb.bucket_len; ++t) {
-        for (int64_t r = 0; r < b; ++r) {
-            const bool live =
-                r < n &&
-                t < static_cast<int64_t>(mb.requests[r].tokens.size());
-            token.at(r) = static_cast<float>(
-                live ? mb.requests[r].tokens[static_cast<size_t>(t)]
-                     : data::Vocab::kPad);
-        }
-        const Tensor logits = stepper_.step(params_, token, state);
-
-        // A row's next-token distribution is read at its own last
-        // prefix position, wherever the bucket boundary is.
-        for (int64_t r = 0; r < n; ++r) {
-            const Request &req = mb.requests[static_cast<size_t>(r)];
-            if (t != static_cast<int64_t>(req.tokens.size()) - 1)
-                continue;
-            Response &resp = out[static_cast<size_t>(r)];
-            resp.id = req.id;
-            resp.ok = true;
-            resp.bucket_len = mb.bucket_len;
-            resp.batch_requests = n;
-            lmTopKPayload(logits, r, req, logp, resp);
-        }
+    Tensor logits;
+    for (int64_t t = 0; t < n; ++t) {
+        token.at(0) = static_cast<float>(r.tokens[static_cast<size_t>(t)]);
+        logits = stepper_.step(params_, token, state);
     }
+    std::vector<double> logp;
+    lmTopKPayload(logits, 0, r, logp, resp);
+    return resp;
 }
 
 int
@@ -347,7 +316,7 @@ WordLmSession::stepLane(int lane, std::vector<LaneFinish> &out)
         span.begin("serve", "lm_step", {{"live", live}});
 
     // Occupied rows feed their own next prefix token, free rows pad —
-    // the same composition-independence discipline as runBatch.
+    // the same composition-independence discipline as runDirect.
     Tensor token(Shape({b}));
     for (int64_t r = 0; r < b; ++r) {
         const auto &req = lane_req_[static_cast<size_t>(r)];
@@ -486,10 +455,7 @@ NmtSession::laneOf(const Request &r) const
     // direct.  Everything else decodes on its bucket's lane.
     if (r.beam_width > 1 || r.max_new_tokens <= 0)
         return kDirectLane;
-    const int64_t bucket = bucketForLength(
-        config_.buckets, static_cast<int64_t>(r.tokens.size()));
-    ECHO_CHECK(bucket > 0, "admitted request fits no bucket");
-    return static_cast<int>(bucketIndex(bucket));
+    return static_cast<int>(bucketIndexFor(r));
 }
 
 void
@@ -560,16 +526,9 @@ NmtSession::stepLane(int lane_idx, std::vector<LaneFinish> &out)
     const Tensor logits = dec.step(params_, ln.state, ln.enc);
     std::vector<double> logp;
     for (int64_t r = 0; r < b; ++r) {
-        // Deterministic argmax (first maximum) on every row, live or
-        // not, so the fed-back token stream is a pure function of the
-        // row — identical to the run-to-completion loop.
-        int64_t best = 0;
-        float best_score = logits.at(r, 0);
-        for (int64_t j = 1; j < mcfg_.tgt_vocab; ++j)
-            if (logits.at(r, j) > best_score) {
-                best_score = logits.at(r, j);
-                best = j;
-            }
+        // Argmax on every row, live or not, so the fed-back token
+        // stream is a pure function of the row.
+        const int64_t best = argmaxRow(logits, r);
         ln.state.token.at(r) = static_cast<float>(best);
         auto &req = ln.req[static_cast<size_t>(r)];
         if (req == nullptr)
@@ -609,123 +568,61 @@ NmtSession::evict(int lane_idx, int slot)
     ln.req[static_cast<size_t>(slot)].reset();
 }
 
-void
-NmtSession::runBatch(const MicroBatch &mb, std::vector<Response> &out)
+Response
+NmtSession::runDirect(const Request &r)
 {
-    validateBatch(mb, config_);
-    journalBatch(mb);
+    const int64_t bucket_idx = bucketIndexFor(r);
+    const int64_t bucket_len =
+        config_.buckets[static_cast<size_t>(bucket_idx)];
+    Response resp = directResponse(r, bucket_len);
+    // A zero-budget greedy decode has nothing to generate.
+    if (r.beam_width <= 1 && r.max_new_tokens <= 0)
+        return resp;
     obs::Span span;
     if (obs::traceEnabled())
-        span.begin("serve", "nmt_batch",
-                   {{"requests",
-                     static_cast<int64_t>(mb.requests.size())},
-                    {"bucket", mb.bucket_len}});
+        span.begin("serve", "nmt_direct",
+                   {{"bucket", bucket_len},
+                    {"beam", int64_t(r.beam_width)}});
 
-    const int64_t b = config_.slots;
-    const int64_t n = static_cast<int64_t>(mb.requests.size());
-    const int64_t bucket_idx = bucketIndex(mb.bucket_len);
-    out.assign(mb.requests.size(), Response{});
-
-    // One padded source tensor and ONE encoder run cover the whole
-    // micro-batch; beam requests reuse their encoder row via tiling.
-    Tensor src = Tensor::zeros(Shape({b, mb.bucket_len}));
-    for (int64_t r = 0; r < n; ++r) {
-        const auto &toks = mb.requests[static_cast<size_t>(r)].tokens;
-        for (size_t t = 0; t < toks.size(); ++t)
-            src.at(r, static_cast<int64_t>(t)) =
-                static_cast<float>(toks[t]);
-    }
+    // Encode on the bucket's slot-wide greedy graph with the request in
+    // row 0 — the encoder arithmetic a lane applies to a spliced row.
+    Tensor src = Tensor::zeros(Shape({config_.slots, bucket_len}));
+    for (size_t t = 0; t < r.tokens.size(); ++t)
+        src.at(0, static_cast<int64_t>(t)) =
+            static_cast<float>(r.tokens[t]);
     const models::NmtDecoder &dec = greedyDecoder(bucket_idx);
     const NmtDecoder::Encoded enc = dec.encode(params_, src);
 
-    for (int64_t r = 0; r < n; ++r) {
-        Response &resp = out[static_cast<size_t>(r)];
-        resp.id = mb.requests[static_cast<size_t>(r)].id;
-        resp.ok = true;
-        resp.bucket_len = mb.bucket_len;
-        resp.batch_requests = n;
-    }
-
-    // Greedy rows decode together on the slot-wide step graph.  A
-    // zero-budget request never participates: left live it would
-    // append one token before its cap check whenever a longer
-    // neighbour keeps the loop running, diverging from its solo
-    // decode (empty tokens, empty scores).
-    std::vector<bool> greedy_row(static_cast<size_t>(b), false);
-    int64_t max_steps = 0;
-    for (int64_t r = 0; r < n; ++r) {
-        const Request &req = mb.requests[static_cast<size_t>(r)];
-        if (req.beam_width <= 1 && req.max_new_tokens > 0) {
-            greedy_row[static_cast<size_t>(r)] = true;
-            max_steps = std::max(max_steps, req.max_new_tokens);
-        }
-    }
-    if (max_steps > 0) {
-        NmtDecoder::State state = dec.initialState();
-        std::vector<bool> done(static_cast<size_t>(b), true);
-        for (int64_t r = 0; r < b; ++r)
-            done[static_cast<size_t>(r)] = !greedy_row[static_cast<size_t>(r)];
-        std::vector<double> logp;
-        std::vector<double> raw(static_cast<size_t>(n), 0.0);
-        for (int64_t t = 0; t < max_steps; ++t) {
-            const Tensor logits = dec.step(params_, state, enc);
-            bool all_done = true;
-            for (int64_t r = 0; r < b; ++r) {
-                // Deterministic argmax (first maximum) on every row,
-                // live or not, so the fed-back token stream is a pure
-                // function of the row.
-                int64_t best = 0;
-                float best_score = logits.at(r, 0);
-                for (int64_t j = 1; j < mcfg_.tgt_vocab; ++j)
-                    if (logits.at(r, j) > best_score) {
-                        best_score = logits.at(r, j);
-                        best = j;
-                    }
-                state.token.at(r) = static_cast<float>(best);
-                if (done[static_cast<size_t>(r)])
-                    continue;
-                const Request &req =
-                    mb.requests[static_cast<size_t>(r)];
-                Response &resp = out[static_cast<size_t>(r)];
-                if (best == data::Vocab::kEos) {
-                    done[static_cast<size_t>(r)] = true;
-                } else {
-                    logSoftmaxRow(logits, r, logp);
-                    resp.tokens.push_back(best);
-                    raw[static_cast<size_t>(r)] +=
-                        logp[static_cast<size_t>(best)];
-                    if (static_cast<int64_t>(resp.tokens.size()) >=
-                        req.max_new_tokens)
-                        done[static_cast<size_t>(r)] = true;
-                }
-                all_done = all_done && done[static_cast<size_t>(r)];
-            }
-            if (all_done)
-                break;
-        }
-        for (int64_t r = 0; r < n; ++r)
-            if (greedy_row[static_cast<size_t>(r)])
-                out[static_cast<size_t>(r)].scores = {
-                    static_cast<float>(raw[static_cast<size_t>(r)])};
-    }
-
-    // Beam rows decode one request at a time on the beam-wide graph.
-    for (int64_t r = 0; r < n; ++r) {
-        const Request &req = mb.requests[static_cast<size_t>(r)];
-        if (req.beam_width <= 1)
-            continue;
+    if (r.beam_width > 1) {
+        // Beam search runs on the beam-wide graph, fed by tiling the
+        // request's encoder row.
         const models::NmtDecoder &bdec = beamDecoder(bucket_idx);
-        const NmtDecoder::Encoded tiled =
-            tileEncoderRow(enc, r, bdec.batch());
-        const int width = std::clamp(req.beam_width, 1,
-                                     config_.beam_width);
+        const int width = std::clamp(r.beam_width, 1, config_.beam_width);
         const BeamHypothesis hyp =
-            beamSearch(bdec, params_, tiled, width, req.max_new_tokens,
-                       config_.beam_alpha);
-        Response &resp = out[static_cast<size_t>(r)];
+            beamSearch(bdec, params_, tileEncoderRow(enc, 0, bdec.batch()),
+                       width, r.max_new_tokens, config_.beam_alpha);
         resp.tokens = hyp.tokens;
         resp.scores = {hyp.score};
+        return resp;
     }
+
+    // Greedy: row 0 decodes from the solo starting point (BOS, zero
+    // h/c/attn) until EOS or the token budget, like a lane row.
+    NmtDecoder::State state = dec.initialState();
+    std::vector<double> logp;
+    double raw = 0.0;
+    while (static_cast<int64_t>(resp.tokens.size()) < r.max_new_tokens) {
+        const Tensor logits = dec.step(params_, state, enc);
+        const int64_t best = argmaxRow(logits, 0);
+        if (best == data::Vocab::kEos)
+            break;
+        state.token.at(0) = static_cast<float>(best);
+        logSoftmaxRow(logits, 0, logp);
+        resp.tokens.push_back(best);
+        raw += logp[static_cast<size_t>(best)];
+    }
+    resp.scores = {static_cast<float>(raw)};
+    return resp;
 }
 
 } // namespace echo::serve

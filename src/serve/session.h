@@ -1,22 +1,24 @@
 /**
  * @file
- * Inference sessions: checkpoint-backed, state-cached micro-batch
- * decoding for the two paper models.
+ * Inference sessions: checkpoint-backed, state-cached step decoding for
+ * the two paper models.
  *
  * A session owns the loaded parameters and the step-decoder graphs —
  * built ONCE per (slot count, length bucket) and reused for every
- * micro-batch, which is the serving-side counterpart of the paper's
+ * decode step, which is the serving-side counterpart of the paper's
  * "build the step graph once, run it T times" training structure.
+ *
+ * Two ways in: the continuous scheduler's lane API (splice / stepLane /
+ * evict over persistent step-graph rows), and runDirect(), a
+ * synchronous solo decode with no scheduler at all — the path for
+ * requests that cannot share a lane (NMT beam, zero-budget decodes)
+ * and the reference every payload test compares against.
  *
  * Determinism contract (test-enforced): every graph in a session has a
  * fixed batch dimension (the slot count), unused slots are padded with
  * fixed values, and all ops are row-wise along the batch axis — so a
  * request's response payload is byte-identical whether it ran alone or
  * alongside seven neighbours, at any thread count.
- *
- * Each runBatch() appends per-request workspace-slot occupancy
- * intervals to a journal; analysis::detectWorkspaceAliasing() verifies
- * no two live requests ever shared a slot (echo-lint --serve-journal).
  *
  * Config inference: fromCheckpoint() reconstructs the model
  * hyperparameters from tensor names and shapes (vocab/hidden/layers,
@@ -31,10 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/hazards.h"
 #include "models/nmt.h"
 #include "models/word_lm.h"
-#include "serve/batcher.h"
 #include "serve/request.h"
 
 namespace echo::serve {
@@ -42,10 +42,11 @@ namespace echo::serve {
 /** Session-wide serving parameters. */
 struct SessionConfig
 {
-    /** Rows per micro-batch graph (= batcher max_batch). */
+    /** Rows per step graph (the lane width). */
     int64_t slots = 8;
 
-    /** Ascending padded source/prefix lengths (= batcher buckets). */
+    /** Ascending padded source/prefix lengths; requests longer than the
+     *  largest bucket are rejected at admission. */
     std::vector<int64_t> buckets = {8, 16, 32};
 
     /** Decoder rows reserved for beam requests; request widths are
@@ -62,6 +63,12 @@ struct SessionConfig
     std::string pipeline_spec;
 };
 
+/**
+ * Smallest bucket holding @p len, or -1 when none does.
+ * @pre buckets ascending, len >= 1
+ */
+int64_t bucketForLength(const std::vector<int64_t> &buckets, int64_t len);
+
 /** One request finishing (payload complete) during a stepLane call. */
 struct LaneFinish
 {
@@ -69,7 +76,7 @@ struct LaneFinish
     Response resp;
 };
 
-/** A loaded model ready to decode micro-batches. */
+/** A loaded model ready to decode requests. */
 class InferenceSession
 {
   public:
@@ -89,14 +96,18 @@ class InferenceSession
     /** One-line model summary for CLI banners. */
     virtual std::string describe() const = 0;
 
+    /** Valid input token ids are [0, inputVocab()): the word-LM vocab,
+     *  the NMT source vocab. */
+    virtual int64_t inputVocab() const = 0;
+
     /**
-     * Decode one micro-batch.  @p out receives one Response per
-     * request, in order, with payload fields (tokens/scores) and
-     * bucket/batch diagnostics filled in; latency is the caller's.
-     * Not thread-safe: one worker drives a session.
+     * Decode @p r alone, synchronously, on a fresh carried state: the
+     * kDirectLane path and the payload reference.  Fills the payload
+     * (tokens/scores) and the bucket/batch diagnostics; latency is the
+     * caller's.  @pre r is admissible (non-empty, fits a bucket, ids in
+     * range).  Not thread-safe: one worker drives a session.
      */
-    virtual void runBatch(const MicroBatch &mb,
-                          std::vector<Response> &out) = 0;
+    virtual Response runDirect(const Request &r) = 0;
 
     // ------------------------------------------------------------------
     // Continuous (iteration-level) scheduling API.
@@ -138,16 +149,6 @@ class InferenceSession
     /** Free row @p slot of @p lane without a payload (cancel/expire). */
     virtual void evict(int lane, int slot) = 0;
 
-    /** Decode @p r alone, synchronously (the kDirectLane path and the
-     *  differential reference).  Byte-identical to a solo runBatch. */
-    Response runDirect(const Request &r);
-
-    /** Workspace occupancy of every batch run so far. */
-    const std::vector<analysis::SlotInterval> &slotJournal() const
-    {
-        return journal_;
-    }
-
     /**
      * Load @p path and build the right session for the checkpoint's
      * model family (word LM / NMT), inferring hyperparameters from the
@@ -159,15 +160,10 @@ class InferenceSession
   protected:
     explicit InferenceSession(SessionConfig config);
 
-    /** Record the (pool=bucket index, slot=row) occupancy of @p mb. */
-    void journalBatch(const MicroBatch &mb);
-
-    /** Index of @p bucket_len in config().buckets (fatal if absent). */
-    int64_t bucketIndex(int64_t bucket_len) const;
+    /** Index of the bucket @p r pads to (fatal if none fits). */
+    int64_t bucketIndexFor(const Request &r) const;
 
     SessionConfig config_;
-    std::vector<analysis::SlotInterval> journal_;
-    int64_t batch_seq_ = 0;
 };
 
 /** Word-LM serving: next-token top-k scoring for a prefix. */
@@ -179,8 +175,8 @@ class WordLmSession final : public InferenceSession
 
     const char *kind() const override { return "word_lm"; }
     std::string describe() const override;
-    void runBatch(const MicroBatch &mb,
-                  std::vector<Response> &out) override;
+    int64_t inputVocab() const override { return mcfg_.vocab; }
+    Response runDirect(const Request &r) override;
 
     /** The stepper has no length dimension, so ONE lane serves every
      *  prefix length — rows at different positions coexist. */
@@ -207,7 +203,7 @@ class WordLmSession final : public InferenceSession
     std::vector<int64_t> lane_pos_;
 };
 
-/** NMT serving: batched greedy and per-request beam decoding. */
+/** NMT serving: lane-batched greedy and per-request beam decoding. */
 class NmtSession final : public InferenceSession
 {
   public:
@@ -217,8 +213,8 @@ class NmtSession final : public InferenceSession
 
     const char *kind() const override { return "nmt"; }
     std::string describe() const override;
-    void runBatch(const MicroBatch &mb,
-                  std::vector<Response> &out) override;
+    int64_t inputVocab() const override { return mcfg_.src_vocab; }
+    Response runDirect(const Request &r) override;
 
     /** One greedy lane per length bucket; beam and zero-budget
      *  requests run direct (the trailing journal pool). */

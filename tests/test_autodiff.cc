@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "core/rng.h"
 #include "graph/autodiff.h"
@@ -89,8 +90,21 @@ TEST(Autodiff, ScaleChain)
     checkGradients(g, loss, {x}, feed);
 }
 
-class BinaryOpGrad
-    : public ::testing::TestWithParam<std::function<OpPtr()>>
+/** An op factory with a printable name, so the test names derived from
+ *  GetParam() do not depend on where the factory's code is loaded. */
+struct NamedOp
+{
+    const char *name;
+    std::function<OpPtr()> make;
+};
+
+void
+PrintTo(const NamedOp &op, std::ostream *os)
+{
+    *os << op.name;
+}
+
+class BinaryOpGrad : public ::testing::TestWithParam<NamedOp>
 {
 };
 
@@ -99,7 +113,7 @@ TEST_P(BinaryOpGrad, MatchesFiniteDifference)
     Graph g;
     Val a = g.placeholder(Shape({2, 3}), "a");
     Val b = g.placeholder(Shape({2, 3}), "b");
-    Val y = g.apply1(GetParam()(), {a, b});
+    Val y = g.apply1(GetParam().make(), {a, b});
     Val loss = scalarize(g, y);
     Rng rng(2);
     FeedDict feed;
@@ -110,12 +124,10 @@ TEST_P(BinaryOpGrad, MatchesFiniteDifference)
 
 INSTANTIATE_TEST_SUITE_P(
     AddSubMul, BinaryOpGrad,
-    ::testing::Values(std::function<OpPtr()>(&ol::add),
-                      std::function<OpPtr()>(&ol::sub),
-                      std::function<OpPtr()>(&ol::mul)));
+    ::testing::Values(NamedOp{"add", &ol::add}, NamedOp{"sub", &ol::sub},
+                      NamedOp{"mul", &ol::mul}));
 
-class UnaryOpGrad
-    : public ::testing::TestWithParam<std::function<OpPtr()>>
+class UnaryOpGrad : public ::testing::TestWithParam<NamedOp>
 {
 };
 
@@ -123,7 +135,7 @@ TEST_P(UnaryOpGrad, MatchesFiniteDifference)
 {
     Graph g;
     Val x = g.placeholder(Shape({2, 4}), "x");
-    Val y = g.apply1(GetParam()(), {x});
+    Val y = g.apply1(GetParam().make(), {x});
     Val loss = scalarize(g, y);
     Rng rng(3);
     FeedDict feed;
@@ -134,10 +146,9 @@ TEST_P(UnaryOpGrad, MatchesFiniteDifference)
 
 INSTANTIATE_TEST_SUITE_P(
     Activations, UnaryOpGrad,
-    ::testing::Values(std::function<OpPtr()>(&ol::tanhOp),
-                      std::function<OpPtr()>(&ol::sigmoidOp),
-                      std::function<OpPtr()>(&ol::reluOp),
-                      std::function<OpPtr()>(&ol::neg)));
+    ::testing::Values(NamedOp{"tanh", &ol::tanhOp},
+                      NamedOp{"sigmoid", &ol::sigmoidOp},
+                      NamedOp{"relu", &ol::reluOp}, NamedOp{"neg", &ol::neg}));
 
 class GemmGrad
     : public ::testing::TestWithParam<std::tuple<bool, bool>>

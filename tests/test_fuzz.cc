@@ -606,13 +606,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GemmScheduleFuzz,
 
 // ---------------------------------------------------------------------
 // Continuous-serving fuzz: randomized mixed word-LM + NMT traffic with
-// random arrival jitter, lengths, tiers, deadline budgets, and
-// client-side cancellations against the continuous scheduler.  Two
-// properties must hold on ANY trace:
+// random arrival jitter, lengths, tiers, deadline budgets, client-side
+// cancellations, and out-of-vocab token ids against the continuous
+// scheduler.  Two properties must hold on ANY trace:
 //
 //  - every served payload is byte-identical to the same request
-//    decoded solo through a reference session (arrival order, splice
-//    timing, and slot churn are unobservable),
+//    decoded solo through runDirect (arrival order, splice timing,
+//    slot churn, and rejected neighbours are unobservable), and every
+//    out-of-vocab request is rejected kBadInput at admission,
 //  - the slot-recycling journal replays clean: leases are exclusive,
 //    every splice re-initialized its rows, and every admitted request
 //    terminated exactly once (served / cancelled / deadline-expired).
@@ -681,6 +682,7 @@ TEST_P(ServeFuzz, ContinuousPayloadsAndJournalSurviveRandomTraffic)
     {
         sv::Request req;
         bool is_nmt = false;
+        bool bad = false; ///< carries an id outside the input vocab
         bool cancel = false;
         int64_t delay_us = 0;
         sv::Response ref;
@@ -714,22 +716,24 @@ TEST_P(ServeFuzz, ContinuousPayloadsAndJournalSurviveRandomTraffic)
         p.req.deadline_us = dl == 0 ? 1 : dl == 1 ? 50'000 : 0;
         p.cancel = rng.uniformInt(6) == 0;
         p.delay_us = static_cast<int64_t>(rng.uniformInt(200));
+        // Occasionally one id just outside the input vocab (word LM
+        // 50, NMT source 40) or negative.
+        p.bad = rng.uniformInt(8) == 0;
+        if (p.bad)
+            p.req.tokens[rng.uniformInt(len)] =
+                rng.uniformInt(2) == 0 ? -1 : p.is_nmt ? 40 : 50;
         plan.push_back(std::move(p));
     }
 
     // Solo reference payloads (ids are irrelevant to payload bytes).
+    int64_t bad_count = 0;
     for (Planned &p : plan) {
-        sv::MicroBatch mb;
-        mb.bucket_len = 8;
-        sv::Request copy = p.req;
-        copy.id = 0;
-        mb.requests.push_back(std::move(copy));
-        std::vector<sv::Response> out;
-        (p.is_nmt ? static_cast<sv::InferenceSession &>(nmt_ref)
-                  : static_cast<sv::InferenceSession &>(lm_ref))
-            .runBatch(mb, out);
-        ASSERT_EQ(out.size(), 1u) << repro(seed);
-        p.ref = out[0];
+        if (p.bad) {
+            ++bad_count;
+            continue;
+        }
+        p.ref = p.is_nmt ? nmt_ref.runDirect(p.req) : lm_ref.runDirect(p.req);
+        ASSERT_TRUE(p.ref.ok) << repro(seed);
     }
 
     std::vector<std::unique_ptr<sv::InferenceSession>> sessions;
@@ -756,6 +760,11 @@ TEST_P(ServeFuzz, ContinuousPayloadsAndJournalSurviveRandomTraffic)
     for (size_t i = 0; i < futures.size(); ++i) {
         const sv::Response resp = futures[i].get();
         const Planned &p = plan[i];
+        if (p.bad) {
+            EXPECT_EQ(resp.reject, sv::RejectReason::kBadInput)
+                << repro(seed) << " request " << i;
+            continue;
+        }
         if (resp.ok) {
             ++ok_count;
             served_ids.push_back(resp.id);
@@ -780,7 +789,9 @@ TEST_P(ServeFuzz, ContinuousPayloadsAndJournalSurviveRandomTraffic)
 
     // Every admitted request terminated exactly once.
     const sv::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.accepted, static_cast<int64_t>(n)) << repro(seed);
+    EXPECT_EQ(stats.accepted, static_cast<int64_t>(n) - bad_count)
+        << repro(seed);
+    EXPECT_EQ(stats.rejected, bad_count) << repro(seed);
     EXPECT_EQ(stats.completed, ok_count) << repro(seed);
     EXPECT_EQ(stats.cancelled, cancelled) << repro(seed);
     EXPECT_EQ(stats.expired, expired) << repro(seed);

@@ -1,14 +1,16 @@
 /**
  * @file
  * Tests for the inference-serving subsystem: request queue admission,
- * dynamic batching, session decoding, the server round trip, the
- * batch-composition / thread-count determinism contract, and the
- * workspace-slot journal.
+ * session decoding (solo runDirect and the continuous lane API), the
+ * server round trip, the lane-composition / thread-count determinism
+ * contract, and the slot-recycling lease journal.
  */
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <future>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -18,7 +20,6 @@
 #include "models/nmt.h"
 #include "models/serialize.h"
 #include "models/word_lm.h"
-#include "serve/batcher.h"
 #include "serve/beam.h"
 #include "serve/queue.h"
 #include "serve/server.h"
@@ -105,7 +106,7 @@ TEST(RequestQueue, RejectReasonNamesAreStable)
     EXPECT_STREQ(rejectReasonName(RejectReason::kShutdown), "shutdown");
 }
 
-// ----------------------------------------------------------- batcher --
+// ----------------------------------------------------------- buckets --
 
 TEST(Batcher, BucketForLengthPicksSmallestFit)
 {
@@ -115,84 +116,6 @@ TEST(Batcher, BucketForLengthPicksSmallestFit)
     EXPECT_EQ(bucketForLength(buckets, 9), 16);
     EXPECT_EQ(bucketForLength(buckets, 32), 32);
     EXPECT_EQ(bucketForLength(buckets, 33), -1);
-}
-
-TEST(Batcher, EmitsFullBatchImmediately)
-{
-    RequestQueue q(16);
-    BatcherConfig cfg;
-    cfg.max_batch = 3;
-    cfg.max_wait = std::chrono::microseconds(60'000'000); // never expire
-    cfg.buckets = {8};
-    for (int64_t i = 0; i < 4; ++i) {
-        Request r = makeRequest({1, 2, 3}, i);
-        r.enqueued_at = std::chrono::steady_clock::now();
-        ASSERT_EQ(q.tryPush(std::move(r)), RejectReason::kNone);
-    }
-    q.close();
-
-    DynamicBatcher batcher(cfg, q);
-    MicroBatch mb;
-    ASSERT_TRUE(batcher.next(mb));
-    EXPECT_EQ(mb.bucket_len, 8);
-    ASSERT_EQ(mb.requests.size(), 3u); // capped at max_batch
-    EXPECT_EQ(mb.requests[0].id, 0);
-    EXPECT_EQ(mb.requests[2].id, 2);
-
-    ASSERT_TRUE(batcher.next(mb)); // closed queue: remainder flushes
-    ASSERT_EQ(mb.requests.size(), 1u);
-    EXPECT_EQ(mb.requests[0].id, 3);
-    EXPECT_FALSE(batcher.next(mb));
-}
-
-TEST(Batcher, GroupsByLengthBucket)
-{
-    RequestQueue q(16);
-    BatcherConfig cfg;
-    cfg.max_batch = 4;
-    cfg.buckets = {8, 16};
-    // Interleaved short/long requests: batches must not mix buckets.
-    for (int64_t i = 0; i < 4; ++i) {
-        Request r = makeRequest(
-            std::vector<int64_t>(i % 2 == 0 ? 3 : 12, 5), i);
-        r.enqueued_at = std::chrono::steady_clock::now();
-        ASSERT_EQ(q.tryPush(std::move(r)), RejectReason::kNone);
-    }
-    q.close();
-
-    DynamicBatcher batcher(cfg, q);
-    MicroBatch mb;
-    int total = 0;
-    while (batcher.next(mb)) {
-        ASSERT_FALSE(mb.requests.empty());
-        for (const Request &r : mb.requests)
-            EXPECT_EQ(bucketForLength(cfg.buckets,
-                                      static_cast<int64_t>(
-                                          r.tokens.size())),
-                      mb.bucket_len);
-        total += static_cast<int>(mb.requests.size());
-    }
-    EXPECT_EQ(total, 4);
-}
-
-TEST(Batcher, DeadlineFlushesPartialBatch)
-{
-    RequestQueue q(16);
-    BatcherConfig cfg;
-    cfg.max_batch = 8;
-    cfg.max_wait = std::chrono::microseconds(1000);
-    cfg.buckets = {8};
-    Request r = makeRequest({4, 5}, 42);
-    r.enqueued_at = std::chrono::steady_clock::now();
-    ASSERT_EQ(q.tryPush(std::move(r)), RejectReason::kNone);
-
-    DynamicBatcher batcher(cfg, q);
-    MicroBatch mb;
-    ASSERT_TRUE(batcher.next(mb)); // emitted at deadline, not blocked
-    ASSERT_EQ(mb.requests.size(), 1u);
-    EXPECT_EQ(mb.requests[0].id, 42);
-    q.close();
-    EXPECT_FALSE(batcher.next(mb));
 }
 
 // ----------------------------------------------------------- session --
@@ -289,81 +212,94 @@ TEST(Session, WordLmTopKIsSortedAndInVocab)
 {
     WordLmSession session(tinyLmConfig(), tinyLmParams(),
                           smallSessionConfig());
-    MicroBatch mb;
-    mb.bucket_len = 8;
     Request r = makeRequest({7, 12, 3}, 0);
     r.top_k = 5;
-    mb.requests.push_back(r);
 
-    std::vector<Response> out;
-    session.runBatch(mb, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(out[0].ok);
-    ASSERT_EQ(out[0].tokens.size(), 5u);
-    ASSERT_EQ(out[0].scores.size(), 5u);
-    for (size_t i = 0; i < out[0].tokens.size(); ++i) {
-        EXPECT_GE(out[0].tokens[i], 0);
-        EXPECT_LT(out[0].tokens[i], 50);
-        EXPECT_LE(out[0].scores[i], 0.0f); // log-probabilities
+    const Response out = session.runDirect(r);
+    EXPECT_TRUE(out.ok);
+    EXPECT_EQ(out.bucket_len, 8);
+    ASSERT_EQ(out.tokens.size(), 5u);
+    ASSERT_EQ(out.scores.size(), 5u);
+    for (size_t i = 0; i < out.tokens.size(); ++i) {
+        EXPECT_GE(out.tokens[i], 0);
+        EXPECT_LT(out.tokens[i], 50);
+        EXPECT_LE(out.scores[i], 0.0f); // log-probabilities
         if (i > 0) {
-            EXPECT_GE(out[0].scores[i - 1], out[0].scores[i]);
+            EXPECT_GE(out.scores[i - 1], out.scores[i]);
         }
     }
 }
 
 /**
+ * Step lane 0 of @p session until every occupant finished (bounded),
+ * running @p between — if set — after the first step.  Returns the
+ * payloads by request id.
+ */
+std::map<int64_t, Response>
+drainLane(InferenceSession &session, size_t occupants,
+          const std::function<void()> &between = {})
+{
+    std::map<int64_t, Response> done;
+    std::vector<LaneFinish> fins;
+    for (int step = 0; step < 64 && done.size() < occupants; ++step) {
+        fins.clear();
+        session.stepLane(0, fins);
+        for (LaneFinish &f : fins)
+            done[f.resp.id] = std::move(f.resp);
+        if (step == 0 && between)
+            between();
+    }
+    EXPECT_EQ(done.size(), occupants);
+    return done;
+}
+
+/**
  * The determinism contract: a request's payload is byte-identical
  * whether it decoded alone or alongside neighbours, at any thread
- * count.  Runs the same request solo and packed with 7 other requests,
- * across thread counts 1/2/4, and requires exact equality.
+ * count.  The target request is spliced mid-flight into a full 8-row
+ * lane whose other rows hold requests of varied lengths, at thread
+ * counts 1/2/4, and must equal its solo runDirect exactly.
  */
 TEST(Session, WordLmPayloadIndependentOfBatchAndThreads)
 {
     WordLmSession session(tinyLmConfig(), tinyLmParams(),
                           smallSessionConfig());
-    const std::vector<int64_t> prefix{9, 4, 31, 6};
-
-    MicroBatch solo;
-    solo.bucket_len = 8;
-    {
-        Request r = makeRequest(prefix, 0);
-        r.top_k = 4;
-        solo.requests.push_back(r);
-    }
-    MicroBatch packed;
-    packed.bucket_len = 8;
-    for (int64_t i = 0; i < 8; ++i) {
-        // The target request rides in row 5; neighbours vary in length
-        // and content.
-        Request r =
-            i == 5 ? makeRequest(prefix, 100)
-                   : makeRequest(std::vector<int64_t>(
-                                     static_cast<size_t>(1 + i % 7),
-                                     10 + i),
-                                 i);
-        r.top_k = i == 5 ? 4 : 3;
-        packed.requests.push_back(r);
-    }
-
-    std::vector<Response> ref;
-    session.runBatch(solo, ref);
-    ASSERT_EQ(ref.size(), 1u);
+    Request target = makeRequest({9, 4, 31, 6}, 100);
+    target.top_k = 4;
+    const Response ref = session.runDirect(target);
+    ASSERT_TRUE(ref.ok);
 
     for (int threads : {1, 2, 4}) {
         ThreadPool::setGlobalNumThreads(threads);
-        std::vector<Response> solo_out, packed_out;
-        session.runBatch(solo, solo_out);
-        session.runBatch(packed, packed_out);
-        ASSERT_EQ(solo_out.size(), 1u);
-        ASSERT_EQ(packed_out.size(), 8u);
-        EXPECT_EQ(solo_out[0].tokens, ref[0].tokens)
-            << "threads=" << threads;
-        EXPECT_EQ(solo_out[0].scores, ref[0].scores)
-            << "threads=" << threads;
-        EXPECT_EQ(packed_out[5].tokens, ref[0].tokens)
-            << "threads=" << threads;
-        EXPECT_EQ(packed_out[5].scores, ref[0].scores)
-            << "threads=" << threads;
+        const Response solo = session.runDirect(target);
+        EXPECT_EQ(solo.tokens, ref.tokens) << "threads=" << threads;
+        EXPECT_EQ(solo.scores, ref.scores) << "threads=" << threads;
+        // Neighbours vary in length and content; the target joins the
+        // running lane after two steps, into row 5.
+        for (int64_t i = 0; i < 8; ++i) {
+            if (i == 5)
+                continue;
+            Request r = makeRequest(
+                std::vector<int64_t>(static_cast<size_t>(1 + i % 7),
+                                     10 + i),
+                i);
+            r.top_k = 3;
+            session.splice(0, static_cast<int>(i), r);
+        }
+        std::vector<LaneFinish> fins;
+        session.stepLane(0, fins);
+        session.stepLane(0, fins);
+        ASSERT_FALSE(fins.empty());
+        // Recycle the rows that finished, then splice the target: the
+        // lane is full when it joins.
+        for (const LaneFinish &f : fins)
+            session.splice(0, f.slot, makeRequest({20 + f.slot, 3},
+                                                  200 + f.slot));
+        session.splice(0, 5, target);
+        const std::map<int64_t, Response> done = drainLane(session, 8);
+        ASSERT_EQ(done.count(100), 1u) << "threads=" << threads;
+        EXPECT_EQ(done.at(100).tokens, ref.tokens) << "threads=" << threads;
+        EXPECT_EQ(done.at(100).scores, ref.scores) << "threads=" << threads;
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }
@@ -373,51 +309,48 @@ TEST(Session, NmtPayloadIndependentOfBatchAndThreads)
     NmtSession session(tinyNmtConfig(), tinyNmtParams(),
                        smallSessionConfig());
     const std::vector<int64_t> sentence{5, 9, 13, 4};
+    Request greedy = makeRequest(sentence, 100);
+    greedy.max_new_tokens = 6;
+    Request beam = makeRequest(sentence, 101);
+    beam.max_new_tokens = 6;
+    beam.beam_width = 3;
+    ASSERT_EQ(session.laneOf(greedy), 0);
+    ASSERT_EQ(session.laneOf(beam), InferenceSession::kDirectLane);
 
-    MicroBatch solo;
-    solo.bucket_len = 8;
-    {
-        Request greedy = makeRequest(sentence, 0);
-        greedy.max_new_tokens = 6;
-        Request beam = makeRequest(sentence, 1);
-        beam.max_new_tokens = 6;
-        beam.beam_width = 3;
-        solo.requests = {greedy, beam};
-    }
-    MicroBatch packed;
-    packed.bucket_len = 8;
-    for (int64_t i = 0; i < 8; ++i) {
-        Request r;
-        if (i == 2) {
-            r = makeRequest(sentence, 100);
-        } else if (i == 6) {
-            r = makeRequest(sentence, 101);
-            r.beam_width = 3;
-        } else {
-            r = makeRequest(std::vector<int64_t>(
-                                static_cast<size_t>(2 + i % 5), 11 + i),
-                            i);
-            r.beam_width = i % 2 == 0 ? 1 : 2;
-        }
-        r.max_new_tokens = 6;
-        packed.requests.push_back(r);
-    }
-
-    std::vector<Response> ref;
-    session.runBatch(solo, ref);
-    ASSERT_EQ(ref.size(), 2u);
-    EXPECT_TRUE(ref[0].ok);
-    EXPECT_TRUE(ref[1].ok);
+    const Response greedy_ref = session.runDirect(greedy);
+    const Response beam_ref = session.runDirect(beam);
+    ASSERT_TRUE(greedy_ref.ok);
+    ASSERT_TRUE(beam_ref.ok);
+    EXPECT_FALSE(greedy_ref.tokens.empty());
+    EXPECT_FALSE(beam_ref.tokens.empty());
 
     for (int threads : {1, 2, 4}) {
         ThreadPool::setGlobalNumThreads(threads);
-        std::vector<Response> out;
-        session.runBatch(packed, out);
-        ASSERT_EQ(out.size(), 8u);
-        EXPECT_EQ(out[2].tokens, ref[0].tokens) << "threads=" << threads;
-        EXPECT_EQ(out[2].scores, ref[0].scores) << "threads=" << threads;
-        EXPECT_EQ(out[6].tokens, ref[1].tokens) << "threads=" << threads;
-        EXPECT_EQ(out[6].scores, ref[1].scores) << "threads=" << threads;
+        // The greedy target rides in row 2 of a full lane; neighbours
+        // vary in length, content, and token budget.
+        for (int64_t i = 0; i < 8; ++i) {
+            Request r =
+                i == 2 ? greedy
+                       : makeRequest(std::vector<int64_t>(
+                                         static_cast<size_t>(2 + i % 5),
+                                         11 + i),
+                                     i);
+            if (i != 2)
+                r.max_new_tokens = 1 + i % 6;
+            session.splice(0, static_cast<int>(i), r);
+        }
+        // The beam request takes the direct path between lane steps,
+        // as the scheduler runs it, on the session the lane is using.
+        Response beam_out;
+        const std::map<int64_t, Response> done = drainLane(
+            session, 8, [&] { beam_out = session.runDirect(beam); });
+        ASSERT_EQ(done.count(100), 1u) << "threads=" << threads;
+        EXPECT_EQ(done.at(100).tokens, greedy_ref.tokens)
+            << "threads=" << threads;
+        EXPECT_EQ(done.at(100).scores, greedy_ref.scores)
+            << "threads=" << threads;
+        EXPECT_EQ(beam_out.tokens, beam_ref.tokens) << "threads=" << threads;
+        EXPECT_EQ(beam_out.scores, beam_ref.scores) << "threads=" << threads;
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }
@@ -430,14 +363,10 @@ TEST(Session, BeamWidthOneMatchesGreedyTokens)
     NmtSession session(mcfg, params, scfg);
 
     // Greedy decode through the session.
-    MicroBatch mb;
-    mb.bucket_len = 8;
     Request r = makeRequest({3, 17, 8}, 0);
     r.max_new_tokens = 6;
-    mb.requests.push_back(r);
-    std::vector<Response> out;
-    session.runBatch(mb, out);
-    ASSERT_EQ(out.size(), 1u);
+    const Response out = session.runDirect(r);
+    ASSERT_TRUE(out.ok);
 
     // Width-1 beam search on a standalone single-row decoder over the
     // same weights must pick the same token at every step.
@@ -452,58 +381,7 @@ TEST(Session, BeamWidthOneMatchesGreedyTokens)
     const models::NmtDecoder::Encoded enc = dec.encode(params, src);
     const BeamHypothesis hyp =
         beamSearch(dec, params, enc, 1, r.max_new_tokens);
-    EXPECT_EQ(hyp.tokens, out[0].tokens);
-}
-
-// ------------------------------------------------------ slot journal --
-
-TEST(Session, SlotJournalIsAliasFree)
-{
-    WordLmSession session(tinyLmConfig(), tinyLmParams(),
-                          smallSessionConfig());
-    std::vector<Response> out;
-    for (int64_t batch = 0; batch < 3; ++batch) {
-        MicroBatch mb;
-        mb.bucket_len = 8;
-        for (int64_t i = 0; i < 4; ++i)
-            mb.requests.push_back(
-                makeRequest({batch + 3, i + 5}, batch * 10 + i));
-        session.runBatch(mb, out);
-    }
-    EXPECT_EQ(session.slotJournal().size(), 12u);
-    const analysis::AnalysisReport report =
-        analysis::detectWorkspaceAliasing(session.slotJournal(), 8);
-    EXPECT_TRUE(report.ok()) << report.toString();
-}
-
-TEST(WorkspaceAliasing, DetectsOverlapAndOutOfRange)
-{
-    std::vector<analysis::SlotInterval> journal;
-    // Requests 1 and 2 both hold (pool 0, slot 3) during batch 5.
-    journal.push_back({1, 0, 3, 5, 6});
-    journal.push_back({2, 0, 3, 5, 6});
-    // Request 3 maps outside the slot range.
-    journal.push_back({3, 0, 9, 6, 7});
-
-    const analysis::AnalysisReport report =
-        analysis::detectWorkspaceAliasing(journal, 8);
-    EXPECT_FALSE(report.ok());
-    bool saw_alias = false, saw_range = false;
-    for (const analysis::Diagnostic &d : report.diagnostics) {
-        saw_alias |= d.check == analysis::Check::kSlotAliasing;
-        saw_range |= d.check == analysis::Check::kSlotOutOfRange;
-    }
-    EXPECT_TRUE(saw_alias);
-    EXPECT_TRUE(saw_range);
-}
-
-TEST(WorkspaceAliasing, DisjointPoolsAndTimesAreClean)
-{
-    std::vector<analysis::SlotInterval> journal;
-    journal.push_back({1, 0, 3, 5, 6}); // same slot, different pool
-    journal.push_back({2, 1, 3, 5, 6});
-    journal.push_back({3, 0, 3, 6, 7}); // same slot, later interval
-    EXPECT_TRUE(analysis::detectWorkspaceAliasing(journal, 8).ok());
+    EXPECT_EQ(hyp.tokens, out.tokens);
 }
 
 // ------------------------------------------------------------ server --
@@ -517,9 +395,7 @@ makeLmSession()
 
 TEST(Server, RoundTripsRequests)
 {
-    ServerConfig cfg;
-    cfg.max_wait = std::chrono::microseconds(500);
-    Server server(makeLmSession(), cfg);
+    Server server(makeLmSession(), ServerConfig{});
 
     std::vector<std::future<Response>> futures;
     for (int64_t i = 0; i < 6; ++i) {
@@ -615,6 +491,7 @@ TEST(RequestQueue, TierAndNewRejectReasonNamesAreStable)
                  "cancelled");
     EXPECT_STREQ(rejectReasonName(RejectReason::kExpired),
                  "deadline-expired");
+    EXPECT_STREQ(rejectReasonName(RejectReason::kBadInput), "bad-input");
 }
 
 // ------------------------------------------- slot-recycling audit --
@@ -647,6 +524,39 @@ TEST(SlotRecycling, CleanRecycledJournalPasses)
     journal.push_back(lease(3, 0, 0, 4, 9));
     const analysis::AnalysisReport report =
         analysis::auditSlotRecycling(journal, 4);
+    EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+TEST(SlotRecycling, DetectsOverlapAndOutOfRange)
+{
+    std::vector<analysis::SlotLease> journal;
+    // Requests 1 and 2 both hold (pool 0, slot 3) during pass 5.
+    journal.push_back(lease(1, 0, 3, 5, 6));
+    journal.push_back(lease(2, 0, 3, 5, 6));
+    // Request 3 maps outside the slot range; request 4 below it.
+    journal.push_back(lease(3, 0, 9, 6, 7));
+    journal.push_back(lease(4, 0, -1, 6, 7));
+
+    const analysis::AnalysisReport report =
+        analysis::auditSlotRecycling(journal, 8);
+    EXPECT_FALSE(report.ok());
+    int alias = 0, range = 0;
+    for (const analysis::Diagnostic &d : report.diagnostics) {
+        alias += d.check == analysis::Check::kSlotAliasing;
+        range += d.check == analysis::Check::kSlotOutOfRange;
+    }
+    EXPECT_EQ(alias, 1) << report.toString();
+    EXPECT_EQ(range, 2) << report.toString();
+}
+
+TEST(SlotRecycling, DisjointPoolsAndTimesAreClean)
+{
+    std::vector<analysis::SlotLease> journal;
+    journal.push_back(lease(1, 0, 3, 5, 6)); // same slot, different pool
+    journal.push_back(lease(2, 1, 3, 5, 6));
+    journal.push_back(lease(3, 0, 3, 6, 7)); // same slot, later lease
+    const analysis::AnalysisReport report =
+        analysis::auditSlotRecycling(journal, 8);
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
@@ -722,30 +632,23 @@ differentialWorkload()
 }
 
 /**
- * The differential test the tentpole hangs on: the continuous
- * scheduler against the slots=1 run-to-completion server (a strictly
- * sequential reference — every micro-batch holds one request).
- * Payloads must be byte-identical for every request at thread counts
- * 1/2/4 and across arrival permutations.
+ * The differential test: the continuous scheduler against solo
+ * runDirect decodes on a fresh slots=1 session — no scheduler in the
+ * oracle at all, and a different graph shape (M=1 reference rows vs
+ * M=8 lanes).  Payloads must be byte-identical for every request at
+ * thread counts 1/2/4 and across arrival permutations.
  */
 TEST(ContinuousServer, DifferentialAgainstSequentialReference)
 {
     const std::vector<Request> base = differentialWorkload();
 
-    // Reference: slots=1, legacy batcher, submitted one at a time.
     std::vector<Response> ref;
     {
         SessionConfig scfg = smallSessionConfig();
         scfg.slots = 1;
-        ServerConfig cfg;
-        cfg.scheduler = SchedulerKind::kDynamicBatch;
-        cfg.max_wait = std::chrono::microseconds(100);
-        Server server(std::make_unique<WordLmSession>(
-                          tinyLmConfig(), tinyLmParams(), scfg),
-                      cfg);
+        WordLmSession solo(tinyLmConfig(), tinyLmParams(), scfg);
         for (const Request &r : base)
-            ref.push_back(server.submit(Request(r)).get());
-        server.stop();
+            ref.push_back(solo.runDirect(r));
         for (const Response &resp : ref)
             ASSERT_TRUE(resp.ok);
     }
@@ -806,19 +709,9 @@ TEST(ContinuousServer, MixedTrafficRoutesByModelAndMatchesReference)
     beam.beam_width = 3;
     beam.model = "nmt";
 
-    std::vector<Response> ref;
-    {
-        MicroBatch mb;
-        mb.bucket_len = 8;
-        mb.requests = {lm_req};
-        std::vector<Response> out;
-        lm_ref.runBatch(mb, out);
-        ref.push_back(out[0]);
-        mb.requests = {greedy, beam};
-        nmt_ref.runBatch(mb, out);
-        ref.push_back(out[0]);
-        ref.push_back(out[1]);
-    }
+    const std::vector<Response> ref = {lm_ref.runDirect(lm_req),
+                                       nmt_ref.runDirect(greedy),
+                                       nmt_ref.runDirect(beam)};
 
     std::vector<std::unique_ptr<InferenceSession>> sessions;
     sessions.push_back(makeLmSession());
@@ -900,76 +793,134 @@ TEST(ContinuousServer, ExpiredDeadlineBudgetResolvesExpired)
 }
 
 /**
- * Regression for the max-wait x deadline wait double-count: queue-wait
- * is recorded exactly once per completed request (at batch emission in
- * legacy mode, at splice time in continuous mode), so the histogram
- * count must equal the completed count even when deadline flushes
- * leave requests pending across buckets.
+ * Regression for the wait double-count: queue-wait is recorded exactly
+ * once per completed request (at splice time), so the histogram count
+ * must equal the completed count even when requests of two buckets
+ * arrive interleaved, in spurts.
  */
 TEST(Server, WaitRecordedOncePerRequestAcrossDeadlineFlushes)
 {
-    for (const SchedulerKind kind :
-         {SchedulerKind::kDynamicBatch, SchedulerKind::kContinuous}) {
-        SessionConfig scfg = smallSessionConfig();
-        scfg.buckets = {8, 16};
-        ServerConfig cfg;
-        cfg.scheduler = kind;
-        cfg.max_wait = std::chrono::microseconds(500);
-        Server server(std::make_unique<WordLmSession>(
-                          tinyLmConfig(), tinyLmParams(), scfg),
-                      cfg);
+    SessionConfig scfg = smallSessionConfig();
+    scfg.buckets = {8, 16};
+    Server server(std::make_unique<WordLmSession>(tinyLmConfig(),
+                                                  tinyLmParams(), scfg),
+                  ServerConfig{});
 
-        std::vector<std::future<Response>> futures;
-        for (int64_t i = 0; i < 12; ++i) {
-            // Alternate buckets so deadline flushes of one bucket
-            // leave the other's requests pending.
-            Request r = makeRequest(
-                std::vector<int64_t>(i % 2 == 0 ? 3 : 12, 5 + i));
-            r.top_k = 2;
-            futures.push_back(server.submit(std::move(r)));
-            if (i % 3 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(300));
-        }
-        for (auto &f : futures) {
-            const Response resp = f.get();
-            ASSERT_TRUE(resp.ok);
-            EXPECT_GE(resp.wait_us, 0.0);
-            EXPECT_LE(resp.wait_us, resp.latency_us);
-        }
-        server.stop();
-
-        const ServerStats stats = server.stats();
-        EXPECT_EQ(stats.completed, 12);
-        EXPECT_EQ(stats.wait_count, stats.completed)
-            << "scheduler=" << static_cast<int>(kind);
+    std::vector<std::future<Response>> futures;
+    for (int64_t i = 0; i < 12; ++i) {
+        Request r = makeRequest(
+            std::vector<int64_t>(i % 2 == 0 ? 3 : 12, 5 + i));
+        r.top_k = 2;
+        futures.push_back(server.submit(std::move(r)));
+        if (i % 3 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
+    for (auto &f : futures) {
+        const Response resp = f.get();
+        ASSERT_TRUE(resp.ok);
+        EXPECT_GE(resp.wait_us, 0.0);
+        EXPECT_LE(resp.wait_us, resp.latency_us);
+    }
+    server.stop();
+
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, 12);
+    EXPECT_EQ(stats.wait_count, stats.completed);
 }
 
 TEST(Server, ResponsePayloadMatchesDirectSession)
 {
-    // The server path (queue -> batcher -> worker) must not perturb
-    // payloads relative to driving the session directly.
+    // The server path (queue -> scheduler -> lane) must not perturb
+    // payloads relative to a solo decode on the session.
     const std::vector<int64_t> prefix{7, 12, 3};
 
     WordLmSession direct(tinyLmConfig(), tinyLmParams(),
                          smallSessionConfig());
-    MicroBatch mb;
-    mb.bucket_len = 8;
     Request r = makeRequest(prefix, 0);
     r.top_k = 5;
-    mb.requests.push_back(r);
-    std::vector<Response> ref;
-    direct.runBatch(mb, ref);
-    ASSERT_EQ(ref.size(), 1u);
+    const Response ref = direct.runDirect(r);
+    ASSERT_TRUE(ref.ok);
 
     Server server(makeLmSession(), ServerConfig{});
     Request req = makeRequest(prefix);
     req.top_k = 5;
     const Response resp = server.submit(std::move(req)).get();
     EXPECT_TRUE(resp.ok);
-    EXPECT_EQ(resp.tokens, ref[0].tokens);
-    EXPECT_EQ(resp.scores, ref[0].scores);
+    EXPECT_EQ(resp.tokens, ref.tokens);
+    EXPECT_EQ(resp.scores, ref.scores);
+}
+
+/**
+ * Admission rejects token ids outside the routed model's input vocab
+ * (word LM: vocab 50; NMT: src_vocab 40) instead of letting one reach
+ * an embedding lookup and stop the process.  Bad requests interleave
+ * with valid ones on a mixed server; the server stays up and the valid
+ * payloads are byte-identical to solo decodes.
+ */
+TEST(ContinuousServer, BadInputIsRejectedAndValidTrafficSurvives)
+{
+    WordLmSession lm_ref(tinyLmConfig(), tinyLmParams(),
+                         smallSessionConfig());
+    NmtSession nmt_ref(tinyNmtConfig(), tinyNmtParams(),
+                       smallSessionConfig());
+    auto lm = [](std::vector<int64_t> tokens) {
+        Request r = makeRequest(std::move(tokens));
+        r.model = "word_lm";
+        r.top_k = 4;
+        return r;
+    };
+    auto nmt = [](std::vector<int64_t> tokens, int beam) {
+        Request r = makeRequest(std::move(tokens));
+        r.model = "nmt";
+        r.max_new_tokens = 6;
+        r.beam_width = beam;
+        return r;
+    };
+    // 40 is in the LM vocab but not the NMT source vocab: the bound is
+    // per routed model.
+    const std::vector<std::pair<Request, bool>> traffic = {
+        {lm({7, 12, 3}), true},      {lm({7, 50, 3}), false},
+        {nmt({5, 9, 13, 4}, 1), true}, {nmt({5, -1}, 1), false},
+        {nmt({5, 9, 13, 4}, 3), true}, {lm({-1}), false},
+        {nmt({3, 40}, 3), false},    {lm({40, 2, 17}), true},
+        {nmt({39, 0, 4}, 1), true},  {lm({49, 0}), true},
+    };
+
+    std::vector<std::unique_ptr<InferenceSession>> sessions;
+    sessions.push_back(makeLmSession());
+    sessions.push_back(makeNmtSession());
+    Server server(std::move(sessions), ServerConfig{});
+    std::vector<std::future<Response>> futures;
+    for (const auto &[req, valid] : traffic)
+        futures.push_back(server.submit(Request(req)));
+
+    int64_t valid_count = 0;
+    for (size_t i = 0; i < traffic.size(); ++i) {
+        const Response resp = futures[i].get();
+        const auto &[req, valid] = traffic[i];
+        if (!valid) {
+            EXPECT_FALSE(resp.ok) << "request " << i;
+            EXPECT_EQ(resp.reject, RejectReason::kBadInput)
+                << "request " << i;
+            continue;
+        }
+        ++valid_count;
+        const Response ref = req.model == "nmt" ? nmt_ref.runDirect(req)
+                                                : lm_ref.runDirect(req);
+        ASSERT_TRUE(resp.ok) << "request " << i;
+        EXPECT_EQ(resp.tokens, ref.tokens) << "request " << i;
+        EXPECT_EQ(resp.scores, ref.scores) << "request " << i;
+    }
+    server.stop();
+
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, valid_count);
+    EXPECT_EQ(stats.accepted, valid_count);
+    EXPECT_EQ(stats.rejected,
+              static_cast<int64_t>(traffic.size()) - valid_count);
+    const analysis::AnalysisReport report = analysis::auditSlotRecycling(
+        server.leaseJournal(), server.journalSlots());
+    EXPECT_TRUE(report.ok()) << report.toString();
 }
 
 } // namespace

@@ -11,11 +11,13 @@
  * can gate on it.  --dot=PATH additionally dumps the violating
  * subgraph of the first failing graph as Graphviz.
  *
- * A second mode checks serving workspace journals (written by
- * echo-serve --journal=PATH): --serve-journal=PATH parses the slot
- * occupancy intervals and runs the slot-aliasing detector — no two
- * live requests may ever share a (pool, slot) row.  This mode replaces
- * the graph lints; exit status is 0 when the journal is clean.
+ * A second mode checks serving lease journals (written by echo-serve
+ * --journal=PATH): --serve-journal=PATH parses the slot leases and runs
+ * the slot-recycling audit — slots in range, no two live requests ever
+ * sharing a (pool, slot) row, every splice re-initialized, every
+ * request terminated exactly once.  This mode replaces the graph lints;
+ * exit status is 0 when the journal is clean, 2 when it is unreadable
+ * or malformed.
  *
  * A third mode audits compiled execution tapes: --tape compiles each
  * model's training schedule into a graph::Tape (the planner-addressed
@@ -42,6 +44,7 @@
  *        echo-lint --tape [--model=word_lm|nmt|all]
  *        echo-lint --pipeline=SPEC [--model=...] [--inject=bad-shape]
  */
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -71,7 +74,7 @@ struct LintOptions
     std::string model = "all";  // word_lm | nmt | all
     std::string policy = "all"; // off | auto | all
     std::string dot_path;       // empty = no dump
-    std::string serve_journal;  // empty = graph-lint mode
+    std::string journal_path;   // empty = graph-lint mode
     int serve_slots = 8;
     std::string pipeline;       // empty = no pipeline replay
     std::string inject;         // "" | "bad-shape"
@@ -205,28 +208,20 @@ parseLeaseStatus(const std::string &token, analysis::LeaseStatus *out)
 }
 
 /**
- * Lint a serving workspace journal ('#' comments allowed).  Two line
- * formats, auto-detected:
- *  - legacy run-to-completion intervals (echo-serve --journal):
- *      "request_id pool slot acquired released"
- *  - continuous-scheduler slot leases:
- *      "request_id pool slot acquired released reinit status"
- *    where status is served|cancelled|expired (or 0|1|2).
- * Any lease line switches the whole journal to the slot-recycling
- * audit (exclusivity + state-leak + lifecycle); otherwise only the
- * aliasing/range check runs.
+ * Lint a serving lease journal ('#' comments allowed), one lease per
+ * line: "request_id pool slot acquired released reinit status", where
+ * status is served|cancelled|expired (or 0|1|2).
  */
 int
 lintServeJournal(const LintOptions &opts)
 {
-    std::ifstream in(opts.serve_journal);
+    std::ifstream in(opts.journal_path);
     if (!in) {
-        std::cerr << "echo-lint: cannot open " << opts.serve_journal
+        std::cerr << "echo-lint: cannot open " << opts.journal_path
                   << "\n";
         return 2;
     }
     std::vector<analysis::SlotLease> journal;
-    bool any_lease_line = false;
     std::string line;
     size_t line_no = 0;
     while (std::getline(in, line)) {
@@ -235,40 +230,29 @@ lintServeJournal(const LintOptions &opts)
             continue;
         std::istringstream fields(line);
         analysis::SlotLease lease;
+        std::string status, extra;
         if (!(fields >> lease.request_id >> lease.pool >> lease.slot >>
-              lease.acquired >> lease.released)) {
-            std::cerr << "echo-lint: " << opts.serve_journal << ":"
-                      << line_no << ": malformed journal line\n";
+              lease.acquired >> lease.released >> lease.reinit >>
+              status) ||
+            fields >> extra) {
+            std::cerr << "echo-lint: " << opts.journal_path << ":"
+                      << line_no << ": malformed journal line (want "
+                      << "7 fields: request_id pool slot acquired "
+                      << "released reinit status)\n";
             return 2;
         }
-        std::string status;
-        if (fields >> lease.reinit >> status) {
-            if (!parseLeaseStatus(status, &lease.status)) {
-                std::cerr << "echo-lint: " << opts.serve_journal << ":"
-                          << line_no << ": bad lease status '" << status
-                          << "'\n";
-                return 2;
-            }
-            any_lease_line = true;
+        if (!parseLeaseStatus(status, &lease.status)) {
+            std::cerr << "echo-lint: " << opts.journal_path << ":"
+                      << line_no << ": bad lease status '" << status
+                      << "'\n";
+            return 2;
         }
         journal.push_back(lease);
     }
 
-    analysis::AnalysisReport report;
-    if (any_lease_line) {
-        report = analysis::auditSlotRecycling(journal, opts.serve_slots);
-    } else {
-        std::vector<analysis::SlotInterval> intervals;
-        intervals.reserve(journal.size());
-        for (const analysis::SlotLease &lease : journal)
-            intervals.push_back(analysis::SlotInterval{
-                lease.request_id, lease.pool, lease.slot, lease.acquired,
-                lease.released});
-        report =
-            analysis::detectWorkspaceAliasing(intervals, opts.serve_slots);
-    }
-    std::cout << "== serve journal (" << journal.size()
-              << (any_lease_line ? " leases, " : " intervals, ")
+    const analysis::AnalysisReport report =
+        analysis::auditSlotRecycling(journal, opts.serve_slots);
+    std::cout << "== serve journal (" << journal.size() << " leases, "
               << opts.serve_slots << " slots): ";
     if (report.diagnostics.empty()) {
         std::cout << "clean\n";
@@ -472,9 +456,19 @@ parseArgs(int argc, char **argv, LintOptions &opts)
         } else if (arg.rfind("--dot=", 0) == 0) {
             opts.dot_path = arg.substr(6);
         } else if (arg.rfind("--serve-journal=", 0) == 0) {
-            opts.serve_journal = arg.substr(16);
+            opts.journal_path = arg.substr(16);
         } else if (arg.rfind("--serve-slots=", 0) == 0) {
-            opts.serve_slots = std::stoi(arg.substr(14));
+            const std::string value = arg.substr(14);
+            const char *end = value.data() + value.size();
+            const auto [ptr, ec] =
+                std::from_chars(value.data(), end, opts.serve_slots);
+            if (value.empty() || ec != std::errc() || ptr != end ||
+                opts.serve_slots < 1) {
+                std::cerr << "echo-lint: --serve-slots needs a positive "
+                             "integer, got '"
+                          << value << "'\n";
+                return false;
+            }
         } else if (arg == "--tape") {
             opts.tape = true;
         } else if (arg.rfind("--pipeline=", 0) == 0) {
@@ -530,7 +524,7 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, opts))
         return 2;
 
-    if (!opts.serve_journal.empty())
+    if (!opts.journal_path.empty())
         return lintServeJournal(opts);
     if (opts.tape)
         return lintTapes(opts);

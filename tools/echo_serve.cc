@@ -18,15 +18,14 @@
  *     deadline-us=5000 12 7      <- deadline budget from admission
  *     cancel-after-us=200 12 7   <- client cancels this id after 200us
  *
- * --journal=PATH dumps the slot-occupancy journal in the format
- * `echo-lint --serve-journal=PATH` checks: slot-recycling leases under
- * the continuous scheduler (the default), plain intervals under
- * --scheduler=batch — closing the loop between the serving layer and
- * the static analyzer.
+ * --journal=PATH dumps the scheduler's slot-recycling lease journal in
+ * the format `echo-lint --serve-journal=PATH` checks — closing the loop
+ * between the serving layer and the static analyzer.
  *
  * Exit status: 0 when every submitted request resolved as expected
  * (cancelled requests count as expected when a cancel was asked for),
- * 1 otherwise, 2 on usage errors.
+ * 1 otherwise, 2 on usage errors (unknown flags, non-numeric values in
+ * numeric flags or request-file fields).
  *
  * --tape=on routes every decode step through the compiled execution
  * tape (graph/tape.h): sessions replay planner-addressed records from
@@ -37,15 +36,16 @@
  *
  * usage: echo-serve --ckpt=PATH[,PATH...] [--requests=FILE] [--slots=N]
  *                   [--buckets=8,16,32] [--beam=K] [--max-new=N]
- *                   [--queue=N] [--max-wait-us=N] [--threads=N]
- *                   [--scheduler=continuous|batch] [--journal=PATH]
+ *                   [--queue=N] [--threads=N] [--journal=PATH]
  *                   [--tape=on|off]
  */
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -87,13 +87,37 @@ splitCommas(const std::string &spec)
     return items;
 }
 
-std::vector<int64_t>
-parseBuckets(const std::string &spec)
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+/** @p text as a whole-string decimal integer in [lo, hi]; false on
+ *  junk, trailing characters, or out-of-range values. */
+bool
+parseInteger(const std::string &text, int64_t &out,
+             int64_t lo = std::numeric_limits<int64_t>::min(),
+             int64_t hi = std::numeric_limits<int64_t>::max())
 {
-    std::vector<int64_t> buckets;
-    for (const std::string &item : splitCommas(spec))
-        buckets.push_back(std::stoll(item));
-    return buckets;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && ptr == end &&
+           out >= lo && out <= hi;
+}
+
+/**
+ * The value of numeric flag @p arg ("--name=VALUE", value at @p prefix)
+ * as an integer in [lo, INT_MAX].  Prints which flag was bad and
+ * returns false otherwise.
+ */
+bool
+flagValue(const std::string &arg, size_t prefix, int64_t lo, int64_t &out)
+{
+    const std::string value = arg.substr(prefix);
+    if (parseInteger(value, out, lo, kIntMax))
+        return true;
+    std::cerr << "echo-serve: " << arg.substr(0, prefix - 1)
+              << " needs an integer >= " << lo << ", got '" << value
+              << "'\n";
+    return false;
 }
 
 bool
@@ -101,6 +125,7 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        int64_t v = 0;
         if (arg.rfind("--ckpt=", 0) == 0) {
             opts.ckpts = splitCommas(arg.substr(7));
         } else if (arg.rfind("--requests=", 0) == 0) {
@@ -108,21 +133,32 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
         } else if (arg.rfind("--journal=", 0) == 0) {
             opts.journal_path = arg.substr(10);
         } else if (arg.rfind("--slots=", 0) == 0) {
-            opts.session.slots = std::stoll(arg.substr(8));
+            if (!flagValue(arg, 8, 1, v))
+                return false;
+            opts.session.slots = v;
         } else if (arg.rfind("--buckets=", 0) == 0) {
-            opts.session.buckets = parseBuckets(arg.substr(10));
+            opts.session.buckets.clear();
+            for (const std::string &item : splitCommas(arg.substr(10))) {
+                if (!flagValue("--buckets=" + item, 10, 1, v))
+                    return false;
+                opts.session.buckets.push_back(v);
+            }
         } else if (arg.rfind("--beam=", 0) == 0) {
-            opts.session.beam_width = std::stoi(arg.substr(7));
+            if (!flagValue(arg, 7, 1, v))
+                return false;
+            opts.session.beam_width = static_cast<int>(v);
         } else if (arg.rfind("--max-new=", 0) == 0) {
-            opts.max_new_tokens = std::stoll(arg.substr(10));
+            if (!flagValue(arg, 10, 0, v))
+                return false;
+            opts.max_new_tokens = v;
         } else if (arg.rfind("--queue=", 0) == 0) {
-            opts.server.queue_capacity =
-                static_cast<size_t>(std::stoull(arg.substr(8)));
-        } else if (arg.rfind("--max-wait-us=", 0) == 0) {
-            opts.server.max_wait =
-                std::chrono::microseconds(std::stoll(arg.substr(14)));
+            if (!flagValue(arg, 8, 1, v))
+                return false;
+            opts.server.queue_capacity = static_cast<size_t>(v);
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = std::stoi(arg.substr(10));
+            if (!flagValue(arg, 10, 0, v))
+                return false;
+            opts.threads = static_cast<int>(v);
         } else if (arg.rfind("--tape=", 0) == 0) {
             const std::string mode = arg.substr(7);
             if (mode != "on" && mode != "off") {
@@ -133,18 +169,6 @@ parseArgs(int argc, char **argv, ServeOptions &opts)
             // Latched by the executor before the first run; set it now
             // so every session compiles (or skips) its tape.
             setenv("ECHO_TAPE", mode.c_str(), 1);
-        } else if (arg.rfind("--scheduler=", 0) == 0) {
-            const std::string kind = arg.substr(12);
-            if (kind == "continuous") {
-                opts.server.scheduler = serve::SchedulerKind::kContinuous;
-            } else if (kind == "batch") {
-                opts.server.scheduler =
-                    serve::SchedulerKind::kDynamicBatch;
-            } else {
-                std::cerr << "echo-serve: --scheduler must be "
-                             "'continuous' or 'batch'\n";
-                return false;
-            }
         } else {
             std::cerr << "echo-serve: unknown argument " << arg << "\n";
             return false;
@@ -168,7 +192,9 @@ loadRequests(const std::string &path, int64_t max_new,
         return false;
     }
     std::string line;
+    size_t line_no = 0;
     while (std::getline(in, line)) {
+        ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream fields(line);
@@ -177,22 +203,34 @@ loadRequests(const std::string &path, int64_t max_new,
         req.max_new_tokens = max_new;
         std::string tok;
         while (fields >> tok) {
-            if (tok.rfind("beam=", 0) == 0)
-                req.beam_width = std::stoi(tok.substr(5));
-            else if (tok.rfind("topk=", 0) == 0)
-                req.top_k = std::stoi(tok.substr(5));
-            else if (tok.rfind("model=", 0) == 0)
+            // Token ids are range-checked by the server, not here.
+            int64_t v = 0;
+            bool ok = true;
+            if (tok.rfind("beam=", 0) == 0) {
+                ok = parseInteger(tok.substr(5), v, kIntMin, kIntMax);
+                req.beam_width = static_cast<int>(v);
+            } else if (tok.rfind("topk=", 0) == 0) {
+                ok = parseInteger(tok.substr(5), v, kIntMin, kIntMax);
+                req.top_k = static_cast<int>(v);
+            } else if (tok.rfind("model=", 0) == 0) {
                 req.model = tok.substr(6);
-            else if (tok.rfind("tier=", 0) == 0)
+            } else if (tok.rfind("tier=", 0) == 0) {
                 req.tier = tok.substr(5) == "interactive"
                                ? serve::Tier::kInteractive
                                : serve::Tier::kBatch;
-            else if (tok.rfind("deadline-us=", 0) == 0)
-                req.deadline_us = std::stoll(tok.substr(12));
-            else if (tok.rfind("cancel-after-us=", 0) == 0)
-                planned.cancel_after_us = std::stoll(tok.substr(16));
-            else
-                req.tokens.push_back(std::stoll(tok));
+            } else if (tok.rfind("deadline-us=", 0) == 0) {
+                ok = parseInteger(tok.substr(12), req.deadline_us);
+            } else if (tok.rfind("cancel-after-us=", 0) == 0) {
+                ok = parseInteger(tok.substr(16), planned.cancel_after_us);
+            } else {
+                ok = parseInteger(tok, v);
+                req.tokens.push_back(v);
+            }
+            if (!ok) {
+                std::cerr << "echo-serve: " << path << ":" << line_no
+                          << ": bad field '" << tok << "'\n";
+                return false;
+            }
         }
         out.push_back(std::move(planned));
     }
@@ -319,28 +357,19 @@ main(int argc, char **argv)
 
     if (!opts.journal_path.empty()) {
         std::ofstream journal(opts.journal_path);
-        if (opts.server.scheduler == serve::SchedulerKind::kContinuous) {
-            journal << "# request_id pool slot acquired released "
-                       "reinit status\n";
-            for (const auto &lease : server.leaseJournal()) {
-                const char *status =
-                    lease.status == analysis::LeaseStatus::kServed
-                        ? "served"
-                        : lease.status ==
-                                  analysis::LeaseStatus::kCancelled
-                              ? "cancelled"
-                              : "expired";
-                journal << lease.request_id << " " << lease.pool << " "
-                        << lease.slot << " " << lease.acquired << " "
-                        << lease.released << " " << lease.reinit << " "
-                        << status << "\n";
-            }
-        } else {
-            journal << "# request_id pool slot acquired released\n";
-            for (const auto &iv : server.session().slotJournal())
-                journal << iv.request_id << " " << iv.pool << " "
-                        << iv.slot << " " << iv.acquired << " "
-                        << iv.released << "\n";
+        journal << "# request_id pool slot acquired released reinit "
+                   "status\n";
+        for (const auto &lease : server.leaseJournal()) {
+            const char *status =
+                lease.status == analysis::LeaseStatus::kServed
+                    ? "served"
+                    : lease.status == analysis::LeaseStatus::kCancelled
+                          ? "cancelled"
+                          : "expired";
+            journal << lease.request_id << " " << lease.pool << " "
+                    << lease.slot << " " << lease.acquired << " "
+                    << lease.released << " " << lease.reinit << " "
+                    << status << "\n";
         }
         std::cout << "journal written to " << opts.journal_path << "\n";
     }
