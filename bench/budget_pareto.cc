@@ -3,16 +3,14 @@
  * Memory-vs-overhead Pareto sweep of the budget-targeted planner
  * (src/budget): for the word-LM and NMT presets, walk byte budgets
  * across each model's feasible band [tightest achievable, baseline]
- * and solve every point with all three solvers — the Echo greedy
- * baseline, the exact chain DP, and the Lagrangian relaxation.
+ * and plan every point.
  *
- * Emits results/budget_pareto.csv: one row per (preset, budget point,
- * solver) with the planned pool peak and the applied replay time, so
- * the curves are directly comparable at matched memory peaks.  The
- * closing note reports where the DP strictly beats greedy — the
- * subsystem's acceptance evidence.
+ * Emits results/budget_pareto.csv: one row per (preset, budget point)
+ * with the planned pool peak and the applied replay time.  Exits
+ * nonzero when a feasible plan overruns its budget or fails the
+ * timeline replay.
  *
- * --quick trims the sweep (fewer points, greedy + DP only) for CI.
+ * --quick trims the sweep to fewer points for CI.
  */
 #include <cmath>
 #include <cstring>
@@ -61,7 +59,6 @@ nmtPreset()
 struct Point
 {
     std::string preset;
-    budget::Solver solver;
     int64_t budget_bytes = 0;
     double band_fraction = 0.0; // position inside [tightest, baseline]
     budget::BudgetPlan plan;
@@ -69,13 +66,11 @@ struct Point
 
 template <typename ModelT, typename ConfigT>
 budget::BudgetPlan
-planFresh(const ConfigT &cfg, int64_t budget_bytes,
-          budget::Solver solver)
+planFresh(const ConfigT &cfg, int64_t budget_bytes)
 {
     ModelT model(cfg);
     budget::BudgetConfig config;
     config.budget_bytes = budget_bytes;
-    config.solver = solver;
     return budget::planWithBudget(model.graph(), model.fetches(),
                                   model.weightGrads(), config);
 }
@@ -87,7 +82,7 @@ void
 feasibleBand(const ConfigT &cfg, int64_t *tightest, int64_t *baseline)
 {
     const budget::BudgetPlan probe =
-        planFresh<ModelT>(cfg, int64_t{1}, budget::Solver::kGreedy);
+        planFresh<ModelT>(cfg, int64_t{1});
     *tightest = probe.tightest_pool_peak;
     *baseline = probe.baseline_pool_peak;
 }
@@ -95,9 +90,7 @@ feasibleBand(const ConfigT &cfg, int64_t *tightest, int64_t *baseline)
 template <typename ModelT, typename ConfigT>
 void
 sweep(const std::string &preset, const ConfigT &cfg,
-      const std::vector<double> &band_fractions,
-      const std::vector<budget::Solver> &solvers,
-      std::vector<Point> *points)
+      const std::vector<double> &band_fractions, std::vector<Point> *points)
 {
     int64_t tightest = 0, baseline = 0;
     feasibleBand<ModelT>(cfg, &tightest, &baseline);
@@ -109,15 +102,12 @@ sweep(const std::string &preset, const ConfigT &cfg,
         const int64_t budget_bytes =
             tightest + static_cast<int64_t>(std::llround(
                            f * static_cast<double>(baseline - tightest)));
-        for (const budget::Solver solver : solvers) {
-            Point p;
-            p.preset = preset;
-            p.solver = solver;
-            p.budget_bytes = budget_bytes;
-            p.band_fraction = f;
-            p.plan = planFresh<ModelT>(cfg, budget_bytes, solver);
-            points->push_back(std::move(p));
-        }
+        Point p;
+        p.preset = preset;
+        p.budget_bytes = budget_bytes;
+        p.band_fraction = f;
+        p.plan = planFresh<ModelT>(cfg, budget_bytes);
+        points->push_back(std::move(p));
     }
 }
 
@@ -131,7 +121,7 @@ main(int argc, char **argv)
         quick = quick || std::strcmp(argv[i], "--quick") == 0;
 
     bench::begin(
-        "Budget-planner Pareto sweep (greedy vs chain DP vs Lagrange)",
+        "Budget-planner Pareto sweep",
         std::string("Byte budgets across each preset's feasible band; "
                     "replay time at matched memory peaks") +
             (quick ? " [--quick]" : ""));
@@ -139,72 +129,35 @@ main(int argc, char **argv)
     const std::vector<double> fractions =
         quick ? std::vector<double>{0.25, 0.75}
               : std::vector<double>{0.05, 0.25, 0.50, 0.75};
-    const std::vector<budget::Solver> solvers =
-        quick ? std::vector<budget::Solver>{budget::Solver::kGreedy,
-                                            budget::Solver::kChainDp}
-              : std::vector<budget::Solver>{budget::Solver::kGreedy,
-                                            budget::Solver::kChainDp,
-                                            budget::Solver::kLagrange};
 
     std::vector<Point> points;
     sweep<models::WordLmModel>("word_lm", wordLmPreset(), fractions,
-                               solvers, &points);
-    sweep<models::NmtModel>("nmt", nmtPreset(), fractions, solvers,
-                            &points);
+                               &points);
+    sweep<models::NmtModel>("nmt", nmtPreset(), fractions, &points);
 
-    Table table({"preset", "band pos", "budget", "solver", "feasible",
-                 "planned peak", "replay us", "regions", "exact",
-                 "replay ok"});
+    Table table({"preset", "band pos", "budget", "feasible",
+                 "planned peak", "replay us", "regions", "replay ok"});
     for (const Point &p : points) {
         table.addRow({p.preset, Table::fmt(p.band_fraction, 2),
                       budget::formatBytes(p.budget_bytes),
-                      budget::solverName(p.solver),
                       p.plan.feasible ? "yes" : "NO",
                       budget::formatBytes(p.plan.planned_pool_peak),
                       Table::fmt(p.plan.pass.replay_time_us, 1),
                       std::to_string(p.plan.pass.num_regions),
-                      p.plan.solved.exact ? "yes" : "no",
                       p.plan.replay_ok ? "yes" : "NO"});
     }
     bench::emit(table, "budget_pareto");
 
-    // Acceptance evidence: at every matched budget point the DP's
-    // applied replay must be <= greedy's, strictly lower somewhere.
-    int compared = 0, strict_wins = 0, regressions = 0, violations = 0;
-    for (const Point &dp : points) {
-        if (dp.solver != budget::Solver::kChainDp)
-            continue;
-        if (dp.plan.feasible &&
-            (!dp.plan.replay_ok ||
-             dp.plan.planned_pool_peak > dp.budget_bytes))
+    // Every feasible plan must fit its budget and replay cleanly.
+    int violations = 0;
+    for (const Point &p : points)
+        if (p.plan.feasible &&
+            (!p.plan.replay_ok ||
+             p.plan.planned_pool_peak > p.budget_bytes))
             ++violations;
-        for (const Point &gr : points) {
-            if (gr.solver != budget::Solver::kGreedy ||
-                gr.preset != dp.preset ||
-                gr.budget_bytes != dp.budget_bytes)
-                continue;
-            if (!gr.plan.feasible || !dp.plan.feasible)
-                continue;
-            ++compared;
-            if (dp.plan.pass.replay_time_us <
-                gr.plan.pass.replay_time_us - 1e-9)
-                ++strict_wins;
-            if (dp.plan.pass.replay_time_us >
-                gr.plan.pass.replay_time_us + 1e-6)
-                ++regressions;
-        }
-    }
-    bench::note("DP vs greedy at matched budgets: " +
-                std::to_string(compared) + " comparable point(s), " +
-                std::to_string(strict_wins) + " strict DP win(s), " +
-                std::to_string(regressions) + " regression(s)");
     if (violations > 0)
         bench::note("ERROR: " + std::to_string(violations) +
                     " feasible plan(s) failed the pool-peak / timeline "
                     "cross-check");
-    // The full sweep must also show at least one strict DP win; the
-    // trimmed --quick sweep only gates on correctness.
-    const bool fail = regressions > 0 || violations > 0 ||
-                      (!quick && strict_wins == 0);
-    return fail ? 1 : 0;
+    return violations > 0 ? 1 : 0;
 }

@@ -105,7 +105,8 @@ main()
     // --- 2. Budget sweeps -----------------------------------------
     // Two budget axes over one table: the Echo pass's replay-*time*
     // fraction, and the budget planner's transient-pool *byte*
-    // fraction ("fit in X bytes", solved by the chain DP).
+    // fraction ("fit in X bytes", the same selector under a byte
+    // target).
     {
         Table table({"budget fraction", "of", "regions",
                      "memory (device)", "replay used"});
@@ -134,7 +135,6 @@ main()
             const int64_t baseline_pool =
                 memory::planMemory(live).pool_peak_bytes;
             budget::BudgetConfig bc;
-            bc.solver = budget::Solver::kChainDp;
             bc.budget_bytes = static_cast<int64_t>(
                 fraction * static_cast<double>(baseline_pool));
             const budget::BudgetPlan plan = budget::planWithBudget(
@@ -154,8 +154,8 @@ main()
         bench::emit(table, "ablation_budget");
         bench::note("the cost model spends its budget on the highest "
                     "savings-per-microsecond regions first; the byte "
-                    "rows solve the inverse problem (fixed pool "
-                    "budget, minimum replay) with the chain DP.");
+                    "rows pose the inverse problem (fixed pool budget) "
+                    "to the same selector.");
     }
 
     // --- 3. GEMM boundary ------------------------------------------

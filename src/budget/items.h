@@ -1,65 +1,58 @@
 /**
  * @file
- * Budget-planner candidate items: the Echo pass's recomputation
- * candidates, priced standalone and packaged for the solvers.
+ * Budget-planner candidates: the Echo pass's recomputation candidates,
+ * packaged with the feature maps and configuration they are priced
+ * under, plus the maximum-reduction probe.
  *
  * The enumerator reuses echo::pass end to end — the same feature maps,
  * the same maximal GEMM-free regions (fused elementwise groups arrive
  * as single cheap nodes, making them near-free candidates), the same
- * footprint and runtime cost models.  What src/budget adds is the
- * *joint* objective: costOf() evaluates a chosen subset at full charge
- * (shared stash values paid once, shared replay nodes priced once), so
- * solvers can optimize "minimum replay time subject to at least R bytes
- * of net savings" instead of the pass's greedy ratio ranking.
+ * footprint and runtime cost models — and the planner selects among
+ * them with the Echo pass's own selector (pass::selectRegions) under a
+ * byte target instead of a time limit.
  */
 #ifndef ECHO_BUDGET_ITEMS_H
 #define ECHO_BUDGET_ITEMS_H
 
 #include <vector>
 
-#include "echo/recompute_pass.h"
+#include "echo/selection.h"
 
 namespace echo::budget {
 
 using graph::Node;
 using graph::Val;
 
-/** One admissible recomputation candidate, priced standalone. */
-struct Item
-{
-    pass::Candidate cand;
-    /** Full-charge cost of choosing this item alone. */
-    int64_t solo_saved = 0;
-    int64_t solo_added = 0;
-    double solo_replay_us = 0.0;
-    /** Time step of the target feature map (-1 outside steps) — the
-     *  chain coordinate the DP sweeps along. */
-    int step = -1;
-
-    int64_t soloNet() const { return solo_saved - solo_added; }
-};
-
-/** Every admissible candidate of a graph, ready for the solvers. */
+/** Every admissible candidate of a graph, ready for selection. */
 struct ItemSet
 {
-    std::vector<Item> items;
+    std::vector<pass::Candidate> candidates;
     std::vector<pass::FeatureMap> feature_maps;
-    /** Pricing/rewrite configuration the items were built under. */
+    /** Pricing/rewrite configuration the candidates were built under. */
     pass::PassConfig config;
 };
 
 /**
- * Enumerate and price the admissible candidates reachable from
- * @p fetches.  Items are ordered along the time-step chain
- * (ascending target step, then target node id) — the order
- * solveChainDp() sweeps.
+ * Enumerate the admissible candidates reachable from @p fetches,
+ * ordered by ascending target time step (values outside the
+ * recurrence first), then target node id.  maxReductionSet() breaks
+ * its ties in this order.
  */
 ItemSet enumerateItems(const std::vector<Val> &fetches,
                        const pass::PassConfig &config);
 
-/** Joint full-charge cost of choosing @p chosen (indices into
- *  set.items) — the solvers' objective, order-independent. */
-pass::SetCost costOf(const ItemSet &set, const std::vector<int> &chosen);
+/**
+ * The modelled maximum-reduction selection: a marginal-gain greedy
+ * that accepts, while joint full-charge net savings still grow, the
+ * single candidate — or the whole remainder of a shared-stash family,
+ * priced jointly — with the largest gain.  Families are how attention
+ * regions pay off: each member is solo-net-negative because of the
+ * shared keys-projection stash, but the family together stashes it
+ * once and saves every step's interior.  The planner probes this set
+ * against the real memory planner to learn the tightest achievable
+ * pool peak.
+ */
+pass::Selection maxReductionSet(const ItemSet &set);
 
 } // namespace echo::budget
 

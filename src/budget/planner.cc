@@ -98,7 +98,7 @@ trialApply(graph::Graph &g, const std::vector<Val> &fetches,
     std::vector<const pass::Candidate *> accepted;
     accepted.reserve(chosen.size());
     for (int i : chosen)
-        accepted.push_back(&items.items[static_cast<size_t>(i)].cand);
+        accepted.push_back(&items.candidates[static_cast<size_t>(i)]);
 
     TrialRewrite trial(g);
     pass::PassResult r;
@@ -125,8 +125,7 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
     obs::Span span;
     if (obs::traceEnabled())
         span.begin("budget", "plan_with_budget",
-                   {{"budget_bytes", config.budget_bytes},
-                    {"solver", solverName(config.solver)}});
+                   {{"budget_bytes", config.budget_bytes}});
     obs::counter("budget.plans").add(1);
 
     BudgetPlan plan;
@@ -161,10 +160,10 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
     }
 
     const ItemSet items = enumerateItems(fetches, config.recompute);
-    plan.num_items = static_cast<int>(items.items.size());
+    plan.num_items = static_cast<int>(items.candidates.size());
 
     // Probe: how tight can recomputation squeeze this graph at all?
-    const SolveResult probe = maxReductionSet(items);
+    const pass::Selection probe = maxReductionSet(items);
     int64_t tightest = plan.baseline_pool_peak;
     if (!probe.chosen.empty()) {
         pass::PassResult probe_res;
@@ -183,14 +182,14 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
              << formatBytes(plan.tightest_pool_peak -
                             config.budget_bytes);
         plan.note = note.str();
-        plan.solved = probe;
+        plan.selection = probe;
         {
             TrialRewrite trial(g);
             if (!probe.chosen.empty()) {
                 std::vector<const pass::Candidate *> accepted;
                 for (int i : probe.chosen)
                     accepted.push_back(
-                        &items.items[static_cast<size_t>(i)].cand);
+                        &items.candidates[static_cast<size_t>(i)]);
                 pass::PassResult r;
                 pass::applyRecomputation(g, accepted, items.feature_maps,
                                          config.recompute, r);
@@ -206,23 +205,25 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
         return plan;
     }
 
-    // Solve for the cheapest set covering the required reduction; the
-    // model and the pool planner disagree by fragmentation/liveness
-    // slack, so measure every proposal and raise the bar by the
-    // overshoot until it fits.
-    int64_t required = plan.baseline_pool_peak - config.budget_bytes;
+    // Select until the required reduction is covered; the model and
+    // the pool planner disagree by fragmentation/liveness slack, so
+    // measure every proposal and raise the bar by the overshoot until
+    // it fits.
+    pass::SelectionLimit limit;
+    limit.required_reduction = plan.baseline_pool_peak - config.budget_bytes;
     for (int round = 0; round < config.max_rounds; ++round) {
         plan.rounds = round + 1;
-        plan.solved = solve(items, required, config.solver);
+        plan.selection = pass::selectRegions(items.candidates,
+                                          items.feature_maps, items.config,
+                                          limit);
         int64_t measured = 0;
         if (trialApply(g, fetches, weight_grads, items,
-                       plan.solved.chosen, config, /*keep_if_fits=*/true,
+                       plan.selection.chosen, config, /*keep_if_fits=*/true,
                        &plan.pass, &measured)) {
             plan.feasible = true;
             plan.applied = true;
             std::ostringstream note;
-            note << "solved in " << plan.rounds << " round(s) with "
-                 << solverName(config.solver);
+            note << "solved in " << plan.rounds << " round(s)";
             plan.note = note.str();
             finalize(g);
             if (obs::traceEnabled())
@@ -235,12 +236,12 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
         const int64_t overshoot = measured - config.budget_bytes;
         // Raise by at least one alignment quantum so the loop always
         // makes progress even when the model refuses to budge.
-        required += std::max<int64_t>(overshoot, 256);
+        limit.required_reduction += std::max<int64_t>(overshoot, 256);
         if (obs::traceEnabled())
             obs::emitEvent('i', "budget", "plan.retry",
                            {{"measured", measured},
                             {"budget", config.budget_bytes},
-                            {"required", required}});
+                            {"required", limit.required_reduction}});
     }
 
     // The probed maximum-reduction set measured within budget; use it.
@@ -253,7 +254,7 @@ planWithBudget(graph::Graph &g, const std::vector<Val> &fetches,
                measured, " > ", config.budget_bytes,
                " (non-deterministic rewrite?)");
     plan.pass = res;
-    plan.solved = probe;
+    plan.selection = probe;
     plan.feasible = true;
     plan.applied = true;
     ++plan.rounds;

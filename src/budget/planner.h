@@ -1,12 +1,13 @@
 /**
  * @file
  * Budget-targeted recomputation planning: "fit this training graph's
- * transient pool in X bytes" solved for minimum added replay time.
+ * transient pool in X bytes" at little added replay time.
  *
  * The Echo pass answers "how much memory can I save within a replay
  * *time* budget"; production boxes pose the inverse question — the
  * memory budget is fixed ("2 GiB for transients") and replay time is
- * what should be minimized.  planWithBudget() answers it:
+ * what should be kept small.  planWithBudget() answers it with the
+ * same best-savings-per-microsecond selection:
  *
  *  1. measure the baseline pool peak (memory::planMemory over the real
  *     liveness analysis — never the cost model alone);
@@ -14,14 +15,14 @@
  *     achievable peak; a budget below it is infeasible and the plan
  *     reports the binding buffers (largest transients live at the
  *     tightest plan's peak) so the caller can see *why*;
- *  3. solve for the cheapest candidate subset whose modelled net
- *     savings covers (baseline - budget) with the selected solver
- *     (greedy baseline / exact chain DP / Lagrangian relaxation — see
- *     budget/solvers.h);
+ *  3. select candidates until their modelled net savings cover
+ *     (baseline - budget), with the Echo pass's own selector
+ *     (pass::selectRegions under a byte target instead of a time
+ *     limit);
  *  4. trial-apply the chosen set, re-run the real memory planner, and
  *     roll the rewrite back if the measured peak still exceeds the
  *     budget (model-vs-planner slack); the required reduction is then
- *     raised by the observed overshoot and the solve repeats.  The
+ *     raised by the observed overshoot and the selection repeats.  The
  *     probed set is a known-feasible fallback, so the loop always
  *     terminates with a plan whose *measured* peak fits.
  *
@@ -36,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "budget/solvers.h"
+#include "budget/items.h"
 #include "memory/planner.h"
 #include "obs/memory_timeline.h"
 
@@ -48,12 +49,11 @@ struct BudgetConfig
     /** Transient-pool byte budget the plan must fit in
      *  (memory::MemoryPlan::pool_peak_bytes <= budget_bytes). */
     int64_t budget_bytes = 0;
-    Solver solver = Solver::kChainDp;
     /** Candidate enumeration / pricing / rewrite configuration.  The
      *  time-budget fraction is ignored — bytes are the budget here. */
     pass::PassConfig recompute;
-    /** Solve / trial-apply / measure rounds before falling back to the
-     *  probed maximum-reduction set. */
+    /** Select / trial-apply / measure rounds before falling back to
+     *  the probed maximum-reduction set. */
     int max_rounds = 6;
 };
 
@@ -85,12 +85,12 @@ struct BudgetPlan
     int64_t baseline_pool_peak = 0;
     int64_t planned_pool_peak = 0;
     int64_t tightest_pool_peak = 0;
-    /** Solve/apply/measure rounds taken. */
+    /** Select/apply/measure rounds taken. */
     int rounds = 0;
-    /** Candidate items the enumerator offered the solver. */
+    /** Candidates the enumerator offered the selector. */
     int num_items = 0;
-    /** The final solver verdict (modelled). */
-    SolveResult solved;
+    /** The final selection (modelled; indices into enumerateItems). */
+    pass::Selection selection;
     /** Rewrite report of the applied set (zeros when !applied). */
     pass::PassResult pass;
     /** Infeasible only: largest transients live at the tightest plan's

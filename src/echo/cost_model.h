@@ -101,7 +101,8 @@ struct SetCost
 
 /**
  * Jointly evaluate @p accepted at full charge — the objective the
- * budget planner's solvers optimize.  Decomposes per element: a feature
+ * budget planner targets (JointCost in echo/selection.h tracks it
+ * incrementally).  Decomposes per element: a feature
  * map is saved iff recomputed by some member and stashed by none, a
  * stash charge is paid once per distinct value, a subgraph node's
  * kernels are priced once no matter how many members replay it.  This

@@ -2,43 +2,22 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/logging.h"
 #include "echo/fused_region.h"
+#include "echo/selection.h"
 #include "gpusim/timeline.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
 namespace echo::pass {
 
-namespace {
-
-/** A candidate with its at-selection-time evaluation. */
-struct Scored
-{
-    Candidate cand;
-    CandidateCost cost;
-
-    double
-    ratio() const
-    {
-        // Savings per microsecond of replay; replay below the kernel
-        // overhead floor is effectively free.
-        return static_cast<double>(cost.netSavings()) /
-               std::max(0.5, cost.replay_time_us);
-    }
-};
-
-} // namespace
-
 std::vector<Candidate>
 enumerateCandidates(const std::vector<FeatureMap> &fms,
                     const std::vector<Val> &fetches,
-                    const PassConfig &config, SelectionState *state,
-                    PassResult *res)
+                    const PassConfig &config, PassResult *res)
 {
     static obs::Counter &c_candidates = obs::counter("echo.candidates");
     static obs::Counter &c_admissible = obs::counter("echo.admissible");
@@ -69,13 +48,6 @@ enumerateCandidates(const std::vector<FeatureMap> &fms,
         if (res != nullptr)
             ++res->num_admissible;
         c_admissible.add(1);
-        if (state != nullptr) {
-            for (const Val &v : cand.frontier)
-                ++state->frontier_multiplicity[v];
-            if (config.fuse_replay)
-                for (const Val &v : cand.pinned_interior)
-                    ++state->frontier_multiplicity[v];
-        }
         candidates.push_back(std::move(cand));
     }
     return candidates;
@@ -278,111 +250,17 @@ runRecomputePass(graph::Graph &g, const std::vector<Val> &fetches,
     const gpusim::ProfileReport baseline =
         gpusim::simulateRun(fetches, config.gpu);
     res.baseline_gpu_time_us = baseline.gpu_kernel_time_us;
-    const double budget =
-        config.overhead_budget_fraction < 0.0
-            ? std::numeric_limits<double>::infinity()
-            : config.overhead_budget_fraction *
-                  baseline.gpu_kernel_time_us;
-
-    // Build candidates; enumeration collects the sharing multiplicity
-    // of each chargeable value — frontier and, under per-step fusion,
-    // cross-step pinned interior — so stash costs are amortized jointly
-    // across a family of regions.
-    SelectionState state;
-    std::vector<Candidate> candidates =
-        enumerateCandidates(fms, fetches, config, &state, &res);
-
-    std::vector<Scored> scored;
-    for (Candidate &cand : candidates) {
-        Scored s;
-        s.cost = evaluateCandidate(cand, fms, state, config.gpu,
-                                   config.fuse_replay);
-        s.cand = std::move(cand);
-        if (s.cost.netSavings() > 0)
-            scored.push_back(std::move(s));
-    }
-
-    // Best savings-per-overhead first.
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored &a, const Scored &b) {
-                  if (a.ratio() != b.ratio())
-                      return a.ratio() > b.ratio();
-                  return a.cand.target.val.node->id <
-                         b.cand.target.val.node->id;
-              });
-
-    // Greedy provisional acceptance with re-evaluation against the
-    // evolving state.  Charges stay amortized here so a family of
-    // regions sharing a large frontier can get in together.
-    double replay_used_us = 0.0;
-    std::vector<const Scored *> accepted_scored;
-    for (Scored &s : scored) {
-        const CandidateCost cost = evaluateCandidate(
-            s.cand, fms, state, config.gpu, config.fuse_replay);
-        // One decision event per candidate region: the modeled savings
-        // and replay cost the selection acted on (paper Fig. 5/6 are
-        // assembled from exactly these numbers).
-        const bool net_positive = cost.netSavings() > 0;
-        const bool in_budget =
-            replay_used_us + cost.replay_time_us <= budget;
-        if (obs::traceEnabled()) {
-            obs::emitEvent(
-                'i', "echo",
-                net_positive && in_budget ? "region.accept"
-                                          : "region.reject",
-                {{"target", s.cand.target.val.node->id},
-                 {"name", s.cand.target.val.node->name},
-                 {"bytes_saved", cost.netSavings()},
-                 {"replay_us", cost.replay_time_us},
-                 {"reason", !net_positive ? "net_negative"
-                            : in_budget   ? "accepted"
-                                          : "over_budget"}});
-        }
-        if (!net_positive || !in_budget)
-            continue;
-        replay_used_us += cost.replay_time_us;
-        noteAccepted(state, s.cand, config.fuse_replay);
-        accepted_scored.push_back(&s);
-    }
-
-    // Amortization divides a shared value's cost among every admissible
-    // sharer, including ones that end up rejected — which can let a
-    // net-negative candidate in on a subsidy nobody pays.  Re-check
-    // each accepted candidate at full charge (empty multiplicity map)
-    // against the *other* accepted members: a genuine family member's
-    // shared values are stashed by its siblings and cost it nothing,
-    // while a phantom-subsidized region goes net-negative and is
-    // dropped.  Iterate to a fixpoint since a drop can orphan another.
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (size_t i = 0; i < accepted_scored.size(); ++i) {
-            SelectionState others;
-            for (size_t j = 0; j < accepted_scored.size(); ++j)
-                if (j != i)
-                    noteAccepted(others, accepted_scored[j]->cand,
-                                 config.fuse_replay);
-            const CandidateCost marginal = evaluateCandidate(
-                accepted_scored[i]->cand, fms, others, config.gpu,
-                config.fuse_replay);
-            if (marginal.netSavings() <= 0) {
-                if (obs::traceEnabled()) {
-                    obs::emitEvent(
-                        'i', "echo", "region.pruned",
-                        {{"target",
-                          accepted_scored[i]->cand.target.val.node->id},
-                         {"net_savings", marginal.netSavings()}});
-                }
-                accepted_scored.erase(accepted_scored.begin() +
-                                      static_cast<ptrdiff_t>(i));
-                changed = true;
-                break;
-            }
-        }
-    }
+    SelectionLimit limit;
+    if (config.overhead_budget_fraction >= 0.0)
+        limit.max_replay_us =
+            config.overhead_budget_fraction * baseline.gpu_kernel_time_us;
+    const std::vector<Candidate> candidates =
+        enumerateCandidates(fms, fetches, config, &res);
+    const Selection sel = selectRegions(candidates, fms, config, limit);
 
     std::vector<const Candidate *> accepted;
-    for (const Scored *s : accepted_scored)
-        accepted.push_back(&s->cand);
+    for (const int i : sel.chosen)
+        accepted.push_back(&candidates[static_cast<size_t>(i)]);
     applyRecomputation(g, accepted, fms, config, res);
     return res;
 }

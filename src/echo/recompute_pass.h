@@ -11,7 +11,8 @@
  *  2. build the maximal GEMM-free recompute region per feature map,
  *  3. select regions best-savings-per-overhead first under the two cost
  *     models (never recomputing GEMMs, accounting for liveness
- *     interactions and shared frontiers),
+ *     interactions and shared frontiers) — selectRegions
+ *     (echo/selection.h), the selector the budget planner runs too,
  *  4. rewrite the graph: clone each accepted region into recompute-phase
  *     nodes and redirect all backward references into the clones.
  *
@@ -91,20 +92,15 @@ PassResult runRecomputePass(graph::Graph &graph,
 /**
  * Enumerate the admissible recomputation candidates of @p fms under
  * @p config (fetched targets skipped, kManual restricted to its layer
- * tag).  When @p state is given, every admissible candidate's
- * chargeable values (frontier and, under fuse_replay, cross-step
- * pinned interior) accumulate into state->frontier_multiplicity so
- * shared stash costs amortize across the family during ranking.  When
- * @p res is given, num_candidates / num_admissible are filled in.
- *
- * This is the shared front half of runRecomputePass; the budget
- * planner (src/budget) prices the same candidates under its solvers.
+ * tag).  When @p res is given, num_candidates / num_admissible are
+ * filled in.  The shared front half of runRecomputePass and the budget
+ * planner (src/budget); both then choose among the candidates with
+ * selectRegions (echo/selection.h).
  */
 std::vector<Candidate>
 enumerateCandidates(const std::vector<FeatureMap> &fms,
                     const std::vector<Val> &fetches,
                     const PassConfig &config,
-                    SelectionState *state = nullptr,
                     PassResult *res = nullptr);
 
 /**

@@ -300,14 +300,13 @@ class TapeCompilePass : public Pass
 
 /** Budget-targeted recomputation (budget/planner.h) as a pass:
  *  `recompute_budget(bytes=256MiB)` or
- *  `recompute_budget(fraction=0.5:solver=dp)`.  Arguments are
+ *  `recompute_budget(fraction=0.5)`.  Arguments are
  *  ':'-separated key=value pairs (commas separate passes in a spec):
  *
  *    bytes=N      absolute transient-pool budget ("256MiB", "1.5GiB")
  *    fraction=F   budget as a fraction of ctx.plan's pool peak (0..1];
  *                 needs the plan pass — hence the kMemoryPlanned
  *                 precondition
- *    solver=S     greedy | dp | lagrange        (default dp)
  *
  *  Exactly one of bytes/fraction is required.  The pass snapshots the
  *  graph for the recompute audit, runs planWithBudget, and re-plans
@@ -369,13 +368,9 @@ class RecomputeBudgetPass : public Pass
                 if (!(fraction_ > 0.0 && fraction_ <= 1.0))
                     return fail("fraction must be in (0, 1], got '" +
                                 value + "'");
-            } else if (key == "solver") {
-                if (!budget::parseSolver(value, &solver_))
-                    return fail("unknown solver '" + value +
-                                "' (greedy | dp | lagrange)");
             } else {
                 return fail("unknown argument '" + key +
-                            "' (bytes | fraction | solver)");
+                            "' (bytes | fraction)");
             }
         }
         if ((bytes_ > 0) == (fraction_ > 0.0))
@@ -392,7 +387,6 @@ class RecomputeBudgetPass : public Pass
             analysis::snapshotGraph(*ctx.graph, eff, ctx.weight_grads);
 
         budget::BudgetConfig config;
-        config.solver = solver_;
         config.recompute = ctx.recompute_config;
         if (fraction_ > 0.0) {
             ECHO_CHECK(ctx.has_plan,
@@ -427,7 +421,6 @@ class RecomputeBudgetPass : public Pass
     std::string display_;
     int64_t bytes_ = 0;
     double fraction_ = 0.0;
-    budget::Solver solver_ = budget::Solver::kChainDp;
 };
 
 // ---------------------------------------------------------------------

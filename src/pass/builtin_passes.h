@@ -12,7 +12,7 @@
  *   audit_fusion re-audit of the fusion journal (no transform)
  *   verify       no transform; runs every registered checker
  *   plan         memory plan of the current graph (memory/planner.h)
- *   recompute_budget(bytes=256MiB) | (fraction=0.5:solver=dp)
+ *   recompute_budget(bytes=256MiB) | (fraction=0.5)
  *                budget-targeted recomputation (budget/planner.h)
  *
  * Pipelines are comma-separated spec strings ("autodiff,fusion").  A

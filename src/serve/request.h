@@ -32,7 +32,8 @@ enum class RejectReason
     kOverloaded, ///< SLO shed: batch-tier admission above the shed line
     kTooLong,    ///< longer than the largest configured length bucket
     kEmpty,      ///< no tokens
-    kBadInput,   ///< a token id outside the routed model's input vocab
+    kBadInput,   ///< a token id outside the routed model's input vocab,
+                 ///< or a knob it reads out of range
     kBadModel,   ///< names a model no loaded session serves
     kShutdown,   ///< submitted after stop()
     kCancelled,  ///< cancelled by the client before completion
@@ -61,13 +62,15 @@ struct Request
     /** NMT: source-token ids.  Word LM: prefix-token ids. */
     std::vector<int64_t> tokens;
 
-    /** NMT: generation cap per request. */
+    /** NMT: generation cap per request (>= 0). */
     int64_t max_new_tokens = 32;
 
-    /** NMT: beam width; 1 decodes greedily. */
+    /** NMT: beam width in [1, the session's beam width]; 1 decodes
+     *  greedily. */
     int beam_width = 1;
 
-    /** Word LM: how many next-token candidates to return. */
+    /** Word LM: how many next-token candidates to return, in
+     *  [1, vocab]. */
     int top_k = 5;
 
     /** SLO class; batch-tier requests are shed first under load. */

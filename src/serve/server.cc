@@ -54,6 +54,8 @@ validate(const Request &r, const InferenceSession *target)
     for (const int64_t id : r.tokens)
         if (id < 0 || id >= target->inputVocab())
             return RejectReason::kBadInput;
+    if (!target->knobsInRange(r))
+        return RejectReason::kBadInput;
     return RejectReason::kNone;
 }
 

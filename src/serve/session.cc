@@ -258,6 +258,14 @@ WordLmSession::runDirect(const Request &r)
     if (obs::traceEnabled())
         span.begin("serve", "lm_direct", {{"tokens", n}});
 
+    // The steps below re-run the lane's step graph, and under the tape
+    // a fetch is only valid until the end of its executor's next run
+    // (graph/tape.h): the lane's carried state must not alias one.
+    for (Tensor &h : lane_state_.h)
+        h = h.clone();
+    for (Tensor &c : lane_state_.c)
+        c = c.clone();
+
     // Row 0 steps the prefix from a fresh state; the other rows pad.
     // Rows are independent, so row 0 replays exactly what a lane row
     // spliced with this request computes.
@@ -519,7 +527,12 @@ NmtSession::stepLane(int lane_idx, std::vector<LaneFinish> &out)
 
     const models::NmtDecoder &dec = greedyDecoder(lane_idx);
     if (ln.enc_dirty) {
-        ln.enc = dec.encode(params_, ln.src);
+        // The lane reads its encoder rows for many steps, and runDirect
+        // re-runs this bucket's encoder meanwhile: under the tape a
+        // fetch is only valid until the end of its executor's next run
+        // (graph/tape.h), so the lane keeps its own copy.
+        const NmtDecoder::Encoded enc = dec.encode(params_, ln.src);
+        ln.enc = {enc.hs.clone(), enc.keys.clone()};
         ln.enc_dirty = false;
     }
 
@@ -607,7 +620,15 @@ NmtSession::runDirect(const Request &r)
     }
 
     // Greedy: row 0 decodes from the solo starting point (BOS, zero
-    // h/c/attn) until EOS or the token budget, like a lane row.
+    // h/c/attn) until EOS or the token budget, like a lane row.  The
+    // steps re-run this bucket's lane graph, so a live lane's carried
+    // state must first stop aliasing the tape's fetches (as in
+    // WordLmSession::runDirect).
+    if (const auto &live = lanes_[static_cast<size_t>(bucket_idx)]) {
+        live->state.h = live->state.h.clone();
+        live->state.c = live->state.c.clone();
+        live->state.attn = live->state.attn.clone();
+    }
     NmtDecoder::State state = dec.initialState();
     std::vector<double> logp;
     double raw = 0.0;

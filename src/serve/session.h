@@ -49,8 +49,8 @@ struct SessionConfig
      *  largest bucket are rejected at admission. */
     std::vector<int64_t> buckets = {8, 16, 32};
 
-    /** Decoder rows reserved for beam requests; request widths are
-     *  clamped to this. */
+    /** Decoder rows reserved for beam requests; admission rejects wider
+     *  requests. */
     int beam_width = 4;
 
     /** GNMT length-normalization exponent for beam scoring. */
@@ -99,6 +99,12 @@ class InferenceSession
     /** Valid input token ids are [0, inputVocab()): the word-LM vocab,
      *  the NMT source vocab. */
     virtual int64_t inputVocab() const = 0;
+
+    /** Whether every request knob this session reads is in range
+     *  (word LM: top_k in [1, vocab]; NMT: beam_width in
+     *  [1, config().beam_width], max_new_tokens >= 0).  Admission
+     *  rejects the request as kBadInput otherwise. */
+    virtual bool knobsInRange(const Request &r) const = 0;
 
     /**
      * Decode @p r alone, synchronously, on a fresh carried state: the
@@ -176,6 +182,10 @@ class WordLmSession final : public InferenceSession
     const char *kind() const override { return "word_lm"; }
     std::string describe() const override;
     int64_t inputVocab() const override { return mcfg_.vocab; }
+    bool knobsInRange(const Request &r) const override
+    {
+        return r.top_k >= 1 && r.top_k <= mcfg_.vocab;
+    }
     Response runDirect(const Request &r) override;
 
     /** The stepper has no length dimension, so ONE lane serves every
@@ -214,6 +224,11 @@ class NmtSession final : public InferenceSession
     const char *kind() const override { return "nmt"; }
     std::string describe() const override;
     int64_t inputVocab() const override { return mcfg_.src_vocab; }
+    bool knobsInRange(const Request &r) const override
+    {
+        return r.beam_width >= 1 && r.beam_width <= config_.beam_width &&
+               r.max_new_tokens >= 0;
+    }
     Response runDirect(const Request &r) override;
 
     /** One greedy lane per length bucket; beam and zero-budget

@@ -1,26 +1,28 @@
 /**
  * @file
- * Tests for the budget-targeted recomputation planner (src/budget):
+ * Tests for the budget-targeted recomputation planner (src/budget) and
+ * the region selector it shares with the Echo pass (echo/selection.h):
  * byte-size parsing, joint full-charge accounting (shared stash values
- * paid once), DP-equals-brute-force optimality on graphs small enough
- * to enumerate every candidate subset, the DP-never-worse-than-greedy
- * guarantee, infeasible-budget diagnostics (binding buffers, untouched
- * graph), feasible end-to-end planning cross-checked by the real memory
- * planner and the obs timeline replay, byte-identical training outputs
- * with budget planning on vs off across thread counts, and the
+ * paid once, incremental tracking equal to a fresh evaluation), golden
+ * selections on the word-LM and NMT presets, infeasible-budget
+ * diagnostics (binding buffers, untouched graph), feasible end-to-end
+ * planning cross-checked by the real memory planner and the obs
+ * timeline replay, byte-identical training outputs with budget
+ * planning on vs off across thread counts, and the
  * `plan,recompute_budget(...)` pipeline establishing plan-feasible.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "budget/items.h"
 #include "budget/planner.h"
-#include "budget/solvers.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "analysis/numeric_verify.h"
@@ -29,6 +31,9 @@
 #include "graph/ops/oplib.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
+#include "models/nmt.h"
+#include "models/word_lm.h"
+#include "obs/trace.h"
 #include "pass/builtin_passes.h"
 #include "pass/pass_manager.h"
 
@@ -154,7 +159,20 @@ poolPeakOf(const ToyBudgetModel &m)
     return memory::planMemory(live).pool_peak_bytes;
 }
 
-/** Replay sums accumulate in solver-specific orders. */
+/** Joint full-charge cost of @p chosen (indices into set.candidates),
+ *  evaluated from scratch. */
+pass::SetCost
+costOf(const ItemSet &set, const std::vector<int> &chosen)
+{
+    std::vector<const pass::Candidate *> accepted;
+    for (const int i : chosen)
+        accepted.push_back(&set.candidates.at(static_cast<size_t>(i)));
+    return pass::evaluateAcceptedSet(accepted, set.feature_maps,
+                                     set.config.gpu,
+                                     set.config.fuse_replay);
+}
+
+/** Replay sums accumulate in insertion order. */
 bool
 replayNear(double a, double b)
 {
@@ -188,18 +206,6 @@ TEST(ParseByteSize, UnitsAndMalformedInputs)
     EXPECT_FALSE(parseByteSize("-4K", &bytes));
 }
 
-TEST(ParseByteSize, SolverNamesRoundTrip)
-{
-    for (Solver s : {Solver::kGreedy, Solver::kChainDp,
-                     Solver::kLagrange}) {
-        Solver parsed;
-        ASSERT_TRUE(parseSolver(solverName(s), &parsed));
-        EXPECT_EQ(parsed, s);
-    }
-    Solver ignored;
-    EXPECT_FALSE(parseSolver("simplex", &ignored));
-}
-
 // ---------------------------------------------------------------------
 // Joint full-charge accounting
 // ---------------------------------------------------------------------
@@ -209,13 +215,13 @@ TEST(JointCost, SharedStashValuesChargedOnce)
     ToyBudgetModel m;
     m.build(2, 3, 8);
     const ItemSet items = enumerateItems(m.fetches, {});
-    ASSERT_GE(items.items.size(), 4u);
+    ASSERT_GE(items.candidates.size(), 4u);
 
     // Some pair of items must share a stashed frontier value (the key
     // projection feeds every attention step), making the joint added
     // bytes strictly subadditive.
     bool found_subadditive = false;
-    const int n = static_cast<int>(items.items.size());
+    const int n = static_cast<int>(items.candidates.size());
     for (int i = 0; i < n && !found_subadditive; ++i) {
         for (int j = i + 1; j < n && !found_subadditive; ++j) {
             const pass::SetCost a = costOf(items, {i});
@@ -236,110 +242,192 @@ TEST(JointCost, MaxReductionSetBeatsEverySoloItem)
     ToyBudgetModel m;
     m.build(2, 3, 8);
     const ItemSet items = enumerateItems(m.fetches, {});
-    const SolveResult probe = maxReductionSet(items);
+    const pass::Selection probe = maxReductionSet(items);
     EXPECT_GT(probe.cost.netSavings(), 0);
-    for (const Item &item : items.items)
-        EXPECT_GE(probe.cost.netSavings(), item.soloNet());
-    EXPECT_EQ(costOf(items, probe.chosen).netSavings(),
-              probe.cost.netSavings())
-        << "solver-tracked joint cost must match a fresh evaluation";
+    for (int i = 0; i < static_cast<int>(items.candidates.size()); ++i)
+        EXPECT_GE(probe.cost.netSavings(), costOf(items, {i}).netSavings());
+
+    // The tracked joint cost of both selectors — the probe and the
+    // shared greedy at a byte target it can reach — must match a fresh
+    // evaluation of what they chose.
+    pass::SelectionLimit limit;
+    limit.required_reduction = probe.cost.netSavings() / 2;
+    const pass::Selection greedy = pass::selectRegions(
+        items.candidates, items.feature_maps, items.config, limit);
+    EXPECT_GE(greedy.cost.netSavings(), limit.required_reduction);
+    for (const pass::Selection *sel : {&probe, &greedy}) {
+        const pass::SetCost fresh = costOf(items, sel->chosen);
+        EXPECT_EQ(fresh.bytes_saved, sel->cost.bytes_saved);
+        EXPECT_EQ(fresh.bytes_added, sel->cost.bytes_added);
+        EXPECT_TRUE(
+            replayNear(fresh.replay_time_us, sel->cost.replay_time_us))
+            << fresh.replay_time_us << " vs " << sel->cost.replay_time_us;
+    }
 }
 
 // ---------------------------------------------------------------------
-// DP optimality: exhaustive enumeration over all candidate subsets
+// Golden selections on the echo-plan presets (perfbench trains the same
+// configurations).  The values were recorded before the Echo pass and
+// the budget planner shared one selector — the budget planner then ran
+// a chain DP — and must not move.
 // ---------------------------------------------------------------------
 
-struct BruteForce
+models::WordLmConfig
+wordLmPreset()
 {
-    double best_replay = std::numeric_limits<double>::infinity();
-    int64_t best_net = std::numeric_limits<int64_t>::min();
-    bool reachable = false;
+    models::WordLmConfig cfg;
+    cfg.vocab = 2000;
+    cfg.hidden = 192;
+    cfg.layers = 2;
+    cfg.batch = 16;
+    cfg.seq_len = 35;
+    return cfg;
+}
+
+models::NmtConfig
+nmtPreset()
+{
+    models::NmtConfig cfg;
+    cfg.src_vocab = 1500;
+    cfg.tgt_vocab = 1200;
+    cfg.hidden = 128;
+    cfg.enc_layers = 1;
+    cfg.batch = 16;
+    cfg.src_len = 25;
+    cfg.tgt_len = 25;
+    return cfg;
+}
+
+/** A preset's forward graph pushed through a pipeline spec. */
+struct PresetRun
+{
+    std::unique_ptr<models::WordLmModel> lm;
+    std::unique_ptr<models::NmtModel> nmt;
+    std::unique_ptr<pass::PipelineContext> ctx;
+
+    PresetRun(bool word_lm, const std::string &spec)
+    {
+        const models::NamedWeights *weights = nullptr;
+        if (word_lm) {
+            lm = std::make_unique<models::WordLmModel>(wordLmPreset(),
+                                                       "none");
+            ctx = std::make_unique<pass::PipelineContext>(lm->graph());
+            ctx->loss = lm->loss();
+            weights = &lm->weights();
+        } else {
+            nmt = std::make_unique<models::NmtModel>(nmtPreset(), "none");
+            ctx = std::make_unique<pass::PipelineContext>(nmt->graph());
+            ctx->loss = nmt->loss();
+            weights = &nmt->weights();
+        }
+        for (const auto &[name, val] : *weights)
+            ctx->wrt.push_back(val);
+        const pass::PipelineReport report =
+            pass::buildPipeline(spec).run(*ctx);
+        EXPECT_TRUE(report.ok()) << report.toString();
+    }
 };
 
-/** The true optimum: cheapest replay over ALL subsets with net >= R
- *  (and the maximum achievable net for unreachable targets). */
-BruteForce
-bruteForce(const ItemSet &items, int64_t required)
+struct GoldenSelection
 {
-    const int n = static_cast<int>(items.items.size());
-    BruteForce bf;
-    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
-        std::vector<int> chosen;
-        for (int i = 0; i < n; ++i)
-            if (mask & (1u << i))
-                chosen.push_back(i);
-        const pass::SetCost cost = costOf(items, chosen);
-        bf.best_net = std::max(bf.best_net, cost.netSavings());
-        if (cost.netSavings() >= required) {
-            bf.reachable = true;
-            bf.best_replay =
-                std::min(bf.best_replay, cost.replay_time_us);
-        }
-    }
-    return bf;
+    std::vector<int64_t> targets;
+    int num_regions = 0;
+    int64_t bytes_saved = 0;
+    int64_t bytes_added = 0;
+    double replay_time_us = 0.0;
+};
+
+void
+expectGolden(const std::vector<int64_t> &targets,
+             const pass::PassResult &res, const GoldenSelection &golden)
+{
+    EXPECT_EQ(targets, golden.targets);
+    EXPECT_EQ(res.num_regions, golden.num_regions);
+    EXPECT_EQ(res.bytes_saved, golden.bytes_saved);
+    EXPECT_EQ(res.bytes_added, golden.bytes_added);
+    EXPECT_DOUBLE_EQ(res.replay_time_us, golden.replay_time_us);
 }
 
-TEST(ChainDp, MatchesBruteForceOverAllSubsets)
+/** Target node ids of the Echo pass's final selection under @p spec,
+ *  read from its region.accept / region.pruned trace events. */
+std::vector<int64_t>
+recomputeTargets(bool word_lm, const std::string &spec,
+                 pass::PassResult *res)
 {
-    ToyBudgetModel m;
-    m.build(2, 2, 8);
-    const ItemSet items = enumerateItems(m.fetches, {});
-    ASSERT_LE(items.items.size(), 18u)
-        << "toy model grew past brute-force range";
-
-    const SolveResult probe = maxReductionSet(items);
-    const int64_t max_net = probe.cost.netSavings();
-    ASSERT_GT(max_net, 0);
-
-    for (const int64_t required :
-         {int64_t{1}, max_net / 4, max_net / 2, (3 * max_net) / 4,
-          max_net, max_net + 64}) {
-        const BruteForce bf = bruteForce(items, required);
-        const SolveResult dp = solveChainDp(items, required);
-        EXPECT_TRUE(dp.exact);
-        ASSERT_EQ(dp.reached, bf.reachable) << "required " << required;
-        // The solver's own accounting must agree with a fresh joint
-        // evaluation of what it chose.
-        const pass::SetCost fresh = costOf(items, dp.chosen);
-        EXPECT_EQ(fresh.netSavings(), dp.cost.netSavings());
-        EXPECT_TRUE(
-            replayNear(fresh.replay_time_us, dp.cost.replay_time_us));
-        if (bf.reachable) {
-            EXPECT_GE(dp.cost.netSavings(), required);
-            EXPECT_TRUE(replayNear(dp.cost.replay_time_us,
-                                   bf.best_replay))
-                << "required " << required << ": DP replay "
-                << dp.cost.replay_time_us << " us vs brute-force "
-                << bf.best_replay << " us";
-        } else {
-            EXPECT_EQ(dp.cost.netSavings(), bf.best_net)
-                << "unreachable target must fall back to the maximum "
-                   "achievable reduction";
-        }
+    obs::startTrace();
+    const PresetRun run(word_lm, spec);
+    obs::stopTrace();
+    *res = run.ctx->recompute;
+    std::set<int64_t> accepted, pruned;
+    for (const obs::TraceEvent &e : obs::snapshotEvents()) {
+        const bool accept = e.name == "region.accept";
+        if (!accept && e.name != "region.pruned")
+            continue;
+        for (const obs::Arg &a : e.args)
+            if (std::string(a.key) == "target")
+                (accept ? accepted : pruned).insert(a.i);
     }
+    std::vector<int64_t> targets;
+    for (const int64_t id : accepted)
+        if (!pruned.count(id))
+            targets.push_back(id);
+    return targets;
 }
 
-TEST(ChainDp, NeverWorseThanGreedy)
+TEST(SelectionGolden, WordLmRecompute)
 {
-    ToyBudgetModel m;
-    m.build(4, 6, 32);
-    const ItemSet items = enumerateItems(m.fetches, {});
-    const int64_t max_net = maxReductionSet(items).cost.netSavings();
-    ASSERT_GT(max_net, 0);
+    pass::PassResult res;
+    const std::vector<int64_t> targets =
+        recomputeTargets(true, "autodiff,fusion,recompute", &res);
+    expectGolden(targets, res,
+                 {{8, 714}, 2, 24576, 0, 8.771792809262644});
+}
 
-    for (int pct = 10; pct <= 100; pct += 10) {
-        const int64_t required = (max_net * pct) / 100;
-        const SolveResult greedy = solveGreedy(items, required);
-        const SolveResult dp = solveChainDp(items, required);
-        EXPECT_EQ(dp.reached, greedy.reached || dp.reached)
-            << "DP must reach every target greedy reaches (pct "
-            << pct << ")";
-        if (greedy.reached && dp.reached) {
-            EXPECT_LE(dp.cost.replay_time_us,
-                      greedy.cost.replay_time_us + 1e-6)
-                << "pct " << pct;
-        }
-    }
+TEST(SelectionGolden, NmtRecompute)
+{
+    pass::PassResult res;
+    const std::vector<int64_t> targets =
+        recomputeTargets(false, "autodiff,fusion,recompute", &res);
+    expectGolden(targets, res,
+                 {{1062, 1095, 1128, 1161, 1194, 1227, 1260, 1293,
+                   1326, 1359, 1392, 1425, 1458, 1491, 1524, 1557,
+                   1590, 1623, 1656, 1689, 1722, 1755, 1787},
+                  23,
+                  9252800,
+                  598016,
+                  134.68181352833639});
+}
+
+TEST(SelectionGolden, NmtBudgetFraction06)
+{
+    const PresetRun run(false,
+                        "autodiff,fusion,plan,recompute_budget("
+                        "fraction=0.6)");
+    ASSERT_TRUE(run.ctx->has_budget_plan);
+    const BudgetPlan &plan = run.ctx->budget_plan;
+    EXPECT_TRUE(plan.feasible);
+    EXPECT_EQ(plan.rounds, 1);
+    EXPECT_EQ(plan.planned_pool_peak, 11429888);
+
+    // The selection indexes the candidates of the graph as the planner
+    // saw it; a twin run stopped before the budget pass rebuilds them.
+    const PresetRun twin(false, "autodiff,fusion,plan");
+    const ItemSet items =
+        enumerateItems(twin.ctx->effectiveFetches(), {});
+    ASSERT_EQ(static_cast<int>(items.candidates.size()), plan.num_items);
+    std::vector<int64_t> targets;
+    for (const int i : plan.selection.chosen)
+        targets.push_back(items.candidates.at(static_cast<size_t>(i))
+                              .target.val.node->id);
+    std::sort(targets.begin(), targets.end());
+    expectGolden(targets, plan.pass,
+                 {{1062, 1095, 1128, 1161, 1194, 1227, 1260, 1293,
+                   1326, 1359, 1392, 1425, 1458, 1491, 1524, 1557,
+                   1590, 1623, 1656, 1689, 1722},
+                  21,
+                  8635200,
+                  581632,
+                  123.42614990859232});
 }
 
 // ---------------------------------------------------------------------
@@ -490,7 +578,7 @@ TEST(BudgetPass, PipelineEstablishesPlanFeasible)
     ctx.wrt = {m.wk, m.wq, m.wo, m.v};
 
     const std::string spec = "autodiff,plan,recompute_budget(bytes=" +
-                             std::to_string(budget) + ":solver=dp)";
+                             std::to_string(budget) + ")";
     pass::PassManager pm = pass::buildPipeline(spec);
     EXPECT_TRUE(pm.validate(ctx.initialInvariants()).empty());
     const pass::PipelineReport report = pm.run(ctx);

@@ -327,8 +327,9 @@ TEST(BudgetPassRegistry, ConfigureRejectsMalformedArguments)
         {"recompute_budget(bytes=64KiB:fraction=0.5)",
          "exactly one of bytes= and fraction="},
         {"recompute_budget(fraction=1.5)", "fraction must be in"},
+        // The removed solver selector is an unknown key like any other.
         {"recompute_budget(bytes=1MiB:solver=simplex)",
-         "unknown solver"},
+         "unknown argument 'solver'"},
         {"recompute_budget(bytes=zero)", "bad byte size"},
         {"recompute_budget(pool=2GiB)", "unknown argument"},
         {"recompute_budget(bytes)", "malformed argument"},
@@ -342,11 +343,9 @@ TEST(BudgetPassRegistry, ConfigureRejectsMalformedArguments)
 
     std::string error;
     const auto pass =
-        makePass("recompute_budget(fraction=0.5:solver=lagrange)",
-                 &error);
+        makePass("recompute_budget(fraction=0.5)", &error);
     ASSERT_NE(pass, nullptr) << error;
-    EXPECT_STREQ(pass->name(),
-                 "recompute_budget(fraction=0.5:solver=lagrange)");
+    EXPECT_STREQ(pass->name(), "recompute_budget(fraction=0.5)");
 }
 
 TEST(PipelineLegality, BudgetBeforePlanRejectedStatically)
@@ -367,12 +366,12 @@ TEST(PipelineLegality, BudgetBeforePlanRejectedStatically)
 TEST(PipelineLegality, BudgetSpecRoundTripsAndValidates)
 {
     const std::string spec =
-        "autodiff,plan,recompute_budget(bytes=64KiB:solver=dp)";
+        "autodiff,plan,recompute_budget(bytes=64KiB)";
     const PassManager pm = buildPipeline(spec);
     EXPECT_EQ(pm.size(), 3u);
     EXPECT_EQ(pm.spec(), spec);
     EXPECT_STREQ(pm.at(2).name(),
-                 "recompute_budget(bytes=64KiB:solver=dp)");
+                 "recompute_budget(bytes=64KiB)");
     EXPECT_TRUE(pm.validate(freshGraphInvariants()).empty());
 }
 

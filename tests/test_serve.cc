@@ -355,6 +355,72 @@ TEST(Session, NmtPayloadIndependentOfBatchAndThreads)
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }
 
+/**
+ * A lane keeps its carried state and encoder rows across many steps
+ * while direct decodes re-run the same bucket's graphs in between.
+ * Under ECHO_TAPE=on (this binary is registered a second time with it)
+ * a fetched tensor is only valid until the end of its executor's next
+ * run, so the lane must not hold fetches: three direct beam requests
+ * (three encoder runs) and a direct greedy decode (lane step-graph
+ * runs) after the first step leave the greedy occupant's payload equal
+ * to its solo decode.
+ */
+TEST(Session, NmtLaneSurvivesDirectDecodes)
+{
+    NmtSession session(tinyNmtConfig(), tinyNmtParams(),
+                       smallSessionConfig());
+    Request greedy = makeRequest({5, 9, 13, 4}, 100);
+    greedy.max_new_tokens = 6;
+    Request beam = makeRequest({7, 3, 21}, 101);
+    beam.max_new_tokens = 6;
+    beam.beam_width = 3;
+    Request other = makeRequest({11, 2}, 102);
+    other.max_new_tokens = 6;
+    const Response greedy_ref = session.runDirect(greedy);
+    const Response beam_ref = session.runDirect(beam);
+    const Response other_ref = session.runDirect(other);
+    ASSERT_GE(greedy_ref.tokens.size(), 2u);
+
+    session.splice(0, 0, greedy);
+    const std::map<int64_t, Response> done = drainLane(session, 1, [&] {
+        for (int i = 0; i < 3; ++i) {
+            const Response out = session.runDirect(beam);
+            EXPECT_EQ(out.tokens, beam_ref.tokens);
+            EXPECT_EQ(out.scores, beam_ref.scores);
+        }
+        const Response out = session.runDirect(other);
+        EXPECT_EQ(out.tokens, other_ref.tokens);
+        EXPECT_EQ(out.scores, other_ref.scores);
+    });
+    ASSERT_EQ(done.count(100), 1u);
+    EXPECT_EQ(done.at(100).tokens, greedy_ref.tokens);
+    EXPECT_EQ(done.at(100).scores, greedy_ref.scores);
+}
+
+/** The word-LM counterpart: a direct decode steps the lane's own step
+ *  graph, and the lane's carried state must survive it. */
+TEST(Session, WordLmLaneSurvivesDirectDecodes)
+{
+    WordLmSession session(tinyLmConfig(), tinyLmParams(),
+                          smallSessionConfig());
+    Request target = makeRequest({9, 4, 31, 6, 2}, 100);
+    target.top_k = 4;
+    Request other = makeRequest({7, 12, 3}, 101);
+    other.top_k = 3;
+    const Response ref = session.runDirect(target);
+    const Response other_ref = session.runDirect(other);
+
+    session.splice(0, 0, target);
+    const std::map<int64_t, Response> done = drainLane(session, 1, [&] {
+        const Response out = session.runDirect(other);
+        EXPECT_EQ(out.tokens, other_ref.tokens);
+        EXPECT_EQ(out.scores, other_ref.scores);
+    });
+    ASSERT_EQ(done.count(100), 1u);
+    EXPECT_EQ(done.at(100).tokens, ref.tokens);
+    EXPECT_EQ(done.at(100).scores, ref.scores);
+}
+
 TEST(Session, BeamWidthOneMatchesGreedyTokens)
 {
     const models::NmtConfig mcfg = tinyNmtConfig();
@@ -857,35 +923,19 @@ TEST(Server, ResponsePayloadMatchesDirectSession)
  * with valid ones on a mixed server; the server stays up and the valid
  * payloads are byte-identical to solo decodes.
  */
-TEST(ContinuousServer, BadInputIsRejectedAndValidTrafficSurvives)
+/**
+ * Submit @p traffic (request, valid?) to a mixed word-LM + NMT server:
+ * every invalid request resolves kBadInput, the server stays up, and
+ * every valid payload is byte-identical to a solo runDirect.
+ */
+void
+expectBadInputRejected(
+    const std::vector<std::pair<Request, bool>> &traffic)
 {
     WordLmSession lm_ref(tinyLmConfig(), tinyLmParams(),
                          smallSessionConfig());
     NmtSession nmt_ref(tinyNmtConfig(), tinyNmtParams(),
                        smallSessionConfig());
-    auto lm = [](std::vector<int64_t> tokens) {
-        Request r = makeRequest(std::move(tokens));
-        r.model = "word_lm";
-        r.top_k = 4;
-        return r;
-    };
-    auto nmt = [](std::vector<int64_t> tokens, int beam) {
-        Request r = makeRequest(std::move(tokens));
-        r.model = "nmt";
-        r.max_new_tokens = 6;
-        r.beam_width = beam;
-        return r;
-    };
-    // 40 is in the LM vocab but not the NMT source vocab: the bound is
-    // per routed model.
-    const std::vector<std::pair<Request, bool>> traffic = {
-        {lm({7, 12, 3}), true},      {lm({7, 50, 3}), false},
-        {nmt({5, 9, 13, 4}, 1), true}, {nmt({5, -1}, 1), false},
-        {nmt({5, 9, 13, 4}, 3), true}, {lm({-1}), false},
-        {nmt({3, 40}, 3), false},    {lm({40, 2, 17}), true},
-        {nmt({39, 0, 4}, 1), true},  {lm({49, 0}), true},
-    };
-
     std::vector<std::unique_ptr<InferenceSession>> sessions;
     sessions.push_back(makeLmSession());
     sessions.push_back(makeNmtSession());
@@ -921,6 +971,67 @@ TEST(ContinuousServer, BadInputIsRejectedAndValidTrafficSurvives)
     const analysis::AnalysisReport report = analysis::auditSlotRecycling(
         server.leaseJournal(), server.journalSlots());
     EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+Request
+lmRequest(std::vector<int64_t> tokens, int top_k = 4)
+{
+    Request r = makeRequest(std::move(tokens));
+    r.model = "word_lm";
+    r.top_k = top_k;
+    return r;
+}
+
+Request
+nmtRequest(std::vector<int64_t> tokens, int beam, int64_t max_new = 6)
+{
+    Request r = makeRequest(std::move(tokens));
+    r.model = "nmt";
+    r.max_new_tokens = max_new;
+    r.beam_width = beam;
+    return r;
+}
+
+TEST(ContinuousServer, BadInputIsRejectedAndValidTrafficSurvives)
+{
+    // 40 is in the LM vocab but not the NMT source vocab: the bound is
+    // per routed model.
+    expectBadInputRejected({
+        {lmRequest({7, 12, 3}), true},
+        {lmRequest({7, 50, 3}), false},
+        {nmtRequest({5, 9, 13, 4}, 1), true},
+        {nmtRequest({5, -1}, 1), false},
+        {nmtRequest({5, 9, 13, 4}, 3), true},
+        {lmRequest({-1}), false},
+        {nmtRequest({3, 40}, 3), false},
+        {lmRequest({40, 2, 17}), true},
+        {nmtRequest({39, 0, 4}, 1), true},
+        {lmRequest({49, 0}), true},
+    });
+}
+
+/**
+ * Knobs a session reads are bounded at admission instead of clamped
+ * mid-decode: word-LM top_k in [1, vocab 50], NMT beam_width in
+ * [1, session beam width 3], max_new_tokens >= 0.  The edges of each
+ * range are valid; one past them is rejected.
+ */
+TEST(ContinuousServer, OutOfRangeKnobsAreRejected)
+{
+    expectBadInputRejected({
+        {lmRequest({7, 12, 3}, 1), true},
+        {lmRequest({7, 12, 3}, -3), false},
+        {nmtRequest({5, 9, 13, 4}, 3), true},
+        {nmtRequest({5, 9, 13, 4}, 0), false},
+        {lmRequest({7, 12, 3}, 50), true},
+        {lmRequest({7, 12, 3}, 51), false},
+        {nmtRequest({5, 9, 13, 4}, 4), false},
+        {nmtRequest({5, 9, 13, 4}, 1), true},
+        {lmRequest({7, 12, 3}, 0), false},
+        {nmtRequest({5, 9, 13, 4}, 1, -1), false},
+        {nmtRequest({5, 9, 13, 4}, 1, 0), true},
+        {nmtRequest({5, 9, 13, 4}, 2, 0), true},
+    });
 }
 
 } // namespace

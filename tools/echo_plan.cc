@@ -5,15 +5,11 @@
  * small preset, asks planWithBudget to fit its transient pool in the
  * requested byte budget, and prints what the planner decided and
  * measured: baseline / tightest / planned pool peaks, the added replay
- * time, solver statistics, and — for infeasible budgets — the binding
- * buffers that keep the budget out of reach.
+ * time, the selection's modelled cost, and — for infeasible budgets —
+ * the binding buffers that keep the budget out of reach.
  *
- * --solver=all runs each solver against a fresh copy of the model so
- * their plans are directly comparable (the greedy baseline vs the
- * exact chain DP vs the Lagrangian relaxation).
- *
- * Exit status: 0 when every requested solve was feasible, 1 when any
- * was infeasible, 2 on usage errors — so CI can gate on a budget.
+ * Exit status: 0 when the budget is feasible, 1 when it is not, 2 on
+ * usage errors — so CI can gate on a budget.
  *
  * --tape=on routes the planner's replay-time measurements through the
  * compiled execution tape (graph/tape.h) instead of the interpreting
@@ -22,8 +18,7 @@
  * before the first run (it sets ECHO_TAPE).
  *
  * usage: echo-plan --budget=BYTES|--budget-fraction=F
- *                  [--model=word_lm|nmt] [--solver=greedy|dp|lagrange|all]
- *                  [--tape=on|off]
+ *                  [--model=word_lm|nmt] [--tape=on|off] [--verbose]
  */
 #include <cmath>
 #include <cstdlib>
@@ -46,21 +41,18 @@ using namespace echo;
 struct PlanOptions
 {
     std::string model = "word_lm"; // word_lm | nmt
-    std::string solver = "dp";     // greedy | dp | lagrange | all
     int64_t budget_bytes = 0;      // absolute budget, or
     double budget_fraction = 0.0;  // fraction of the baseline pool peak
     bool verbose = false;
 };
 
-/** One solve against a fresh model; returns the plan. */
+/** One plan against a fresh model. */
 template <typename ModelT, typename ConfigT>
 budget::BudgetPlan
-planFresh(const ConfigT &cfg, const PlanOptions &opts,
-          budget::Solver solver)
+planFresh(const ConfigT &cfg, const PlanOptions &opts)
 {
     ModelT model(cfg);
     budget::BudgetConfig config;
-    config.solver = solver;
     config.budget_bytes = opts.budget_bytes;
     if (opts.budget_fraction > 0.0) {
         // Resolve the fraction against this model's measured baseline.
@@ -76,7 +68,7 @@ planFresh(const ConfigT &cfg, const PlanOptions &opts,
 }
 
 budget::BudgetPlan
-planModel(const PlanOptions &opts, budget::Solver solver)
+planModel(const PlanOptions &opts)
 {
     // Presets sized so the per-step feature maps (what recomputation
     // can reclaim) dominate the vocab-sized logits (what it cannot):
@@ -88,7 +80,7 @@ planModel(const PlanOptions &opts, budget::Solver solver)
         cfg.layers = 2;
         cfg.batch = 16;
         cfg.seq_len = 35;
-        return planFresh<models::WordLmModel>(cfg, opts, solver);
+        return planFresh<models::WordLmModel>(cfg, opts);
     }
     models::NmtConfig cfg;
     cfg.src_vocab = 1500;
@@ -98,7 +90,7 @@ planModel(const PlanOptions &opts, budget::Solver solver)
     cfg.batch = 16;
     cfg.src_len = 25;
     cfg.tgt_len = 25;
-    return planFresh<models::NmtModel>(cfg, opts, solver);
+    return planFresh<models::NmtModel>(cfg, opts);
 }
 
 bool
@@ -108,8 +100,6 @@ parseArgs(int argc, char **argv, PlanOptions &opts)
         const std::string arg = argv[i];
         if (arg.rfind("--model=", 0) == 0) {
             opts.model = arg.substr(8);
-        } else if (arg.rfind("--solver=", 0) == 0) {
-            opts.solver = arg.substr(9);
         } else if (arg.rfind("--budget=", 0) == 0) {
             if (!budget::parseByteSize(arg.substr(9),
                                        &opts.budget_bytes) ||
@@ -144,21 +134,13 @@ parseArgs(int argc, char **argv, PlanOptions &opts)
             std::cerr
                 << "echo-plan: unknown argument " << arg << "\n"
                 << "usage: echo-plan --budget=BYTES|--budget-fraction=F\n"
-                   "                 [--model=word_lm|nmt]\n"
-                   "                 [--solver=greedy|dp|lagrange|all]\n"
-                   "                 [--tape=on|off]\n";
+                   "                 [--model=word_lm|nmt] "
+                   "[--tape=on|off] [--verbose]\n";
             return false;
         }
     }
     if (opts.model != "word_lm" && opts.model != "nmt") {
         std::cerr << "echo-plan: bad --model value '" << opts.model
-                  << "'\n";
-        return false;
-    }
-    budget::Solver ignored;
-    if (opts.solver != "all" &&
-        !budget::parseSolver(opts.solver, &ignored)) {
-        std::cerr << "echo-plan: bad --solver value '" << opts.solver
                   << "'\n";
         return false;
     }
@@ -179,70 +161,45 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, opts))
         return 2;
 
-    std::vector<budget::Solver> solvers;
-    if (opts.solver == "all") {
-        solvers = {budget::Solver::kGreedy, budget::Solver::kChainDp,
-                   budget::Solver::kLagrange};
-    } else {
-        budget::Solver s;
-        budget::parseSolver(opts.solver, &s);
-        solvers = {s};
+    const budget::BudgetPlan plan = planModel(opts);
+    Table table({"budget", "feasible", "baseline peak", "tightest peak",
+                 "planned peak", "replay us", "regions", "rounds",
+                 "replay ok"});
+    table.addRow({budget::formatBytes(plan.budget_bytes),
+                  plan.feasible ? "yes" : "NO",
+                  budget::formatBytes(plan.baseline_pool_peak),
+                  budget::formatBytes(plan.tightest_pool_peak),
+                  budget::formatBytes(plan.planned_pool_peak),
+                  Table::fmt(plan.pass.replay_time_us, 1),
+                  std::to_string(plan.pass.num_regions),
+                  std::to_string(plan.rounds),
+                  plan.replay_ok ? "yes" : "NO"});
+    std::vector<std::string> notes = {plan.note};
+    if (opts.verbose) {
+        std::ostringstream oss;
+        oss << "  selected " << plan.selection.chosen.size() << " of "
+            << plan.num_items << " candidate(s); modelled saved "
+            << budget::formatBytes(plan.selection.cost.bytes_saved)
+            << ", added "
+            << budget::formatBytes(plan.selection.cost.bytes_added)
+            << ", net "
+            << budget::formatBytes(plan.selection.cost.netSavings())
+            << ", replay "
+            << Table::fmt(plan.selection.cost.replay_time_us, 1) << " us";
+        notes.push_back(oss.str());
     }
-
-    Table table({"solver", "budget", "feasible", "baseline peak",
-                 "tightest peak", "planned peak", "replay us", "regions",
-                 "rounds", "exact", "replay ok"});
-    int infeasible = 0;
-    std::vector<std::string> notes;
-    for (budget::Solver solver : solvers) {
-        const budget::BudgetPlan plan = planModel(opts, solver);
-        if (!plan.feasible)
-            ++infeasible;
-        table.addRow({budget::solverName(solver),
-                      budget::formatBytes(plan.budget_bytes),
-                      plan.feasible ? "yes" : "NO",
-                      budget::formatBytes(plan.baseline_pool_peak),
-                      budget::formatBytes(plan.tightest_pool_peak),
-                      budget::formatBytes(plan.planned_pool_peak),
-                      Table::fmt(plan.pass.replay_time_us, 1),
-                      std::to_string(plan.pass.num_regions),
-                      std::to_string(plan.rounds),
-                      plan.solved.exact ? "yes" : "no",
-                      plan.replay_ok ? "yes" : "NO"});
-        notes.push_back(std::string(budget::solverName(solver)) + ": " +
-                        plan.note);
-        if (opts.verbose) {
-            std::ostringstream oss;
-            oss << "  solver chose " << plan.solved.chosen.size()
-                << " of " << plan.num_items
-                << " item(s); modelled saved "
-                << budget::formatBytes(plan.solved.cost.bytes_saved)
-                << ", added "
-                << budget::formatBytes(plan.solved.cost.bytes_added)
-                << ", net "
-                << budget::formatBytes(plan.solved.cost.netSavings())
-                << ", replay "
-                << Table::fmt(plan.solved.cost.replay_time_us, 1)
-                << " us over " << plan.solved.states << " state(s)";
-            notes.push_back(oss.str());
-        }
-        if (!plan.feasible && !plan.binding.empty()) {
-            std::ostringstream oss;
-            oss << "  binding buffers at the tightest plan's peak:";
-            notes.push_back(oss.str());
-            for (const budget::BindingBuffer &b : plan.binding) {
-                notes.push_back("    " + b.name + " (" + b.category +
-                                ", " + budget::formatBytes(b.bytes) +
-                                ", slots " + std::to_string(b.def_pos) +
-                                ".." + std::to_string(b.last_use_pos) +
-                                ")");
-            }
-        }
+    if (!plan.feasible && !plan.binding.empty()) {
+        notes.push_back("  binding buffers at the tightest plan's peak:");
+        for (const budget::BindingBuffer &b : plan.binding)
+            notes.push_back("    " + b.name + " (" + b.category + ", " +
+                            budget::formatBytes(b.bytes) + ", slots " +
+                            std::to_string(b.def_pos) + ".." +
+                            std::to_string(b.last_use_pos) + ")");
     }
 
     std::cout << "echo-plan: model " << opts.model << "\n";
     table.print();
     for (const std::string &note : notes)
         std::cout << note << "\n";
-    return infeasible > 0 ? 1 : 0;
+    return plan.feasible ? 0 : 1;
 }

@@ -14,7 +14,8 @@
  *     beam=4 12 7 93 5           <- NMT beam search, width 4
  *     topk=3 12 7 93             <- word LM, report 3 candidates
  *     model=nmt 12 7 93          <- route to the nmt session
- *     tier=interactive 12 7      <- SLO tier (default batch)
+ *     tier=interactive 12 7      <- SLO tier: interactive | batch
+ *                                   (default batch)
  *     deadline-us=5000 12 7      <- deadline budget from admission
  *     cancel-after-us=200 12 7   <- client cancels this id after 200us
  *
@@ -25,7 +26,8 @@
  * Exit status: 0 when every submitted request resolved as expected
  * (cancelled requests count as expected when a cancel was asked for),
  * 1 otherwise, 2 on usage errors (unknown flags, non-numeric values in
- * numeric flags or request-file fields).
+ * numeric flags or request-file fields, an unknown tier).  A completed
+ * request prints `ok`, also with an empty payload (--max-new=0).
  *
  * --tape=on routes every decode step through the compiled execution
  * tape (graph/tape.h): sessions replay planner-addressed records from
@@ -215,9 +217,10 @@ loadRequests(const std::string &path, int64_t max_new,
             } else if (tok.rfind("model=", 0) == 0) {
                 req.model = tok.substr(6);
             } else if (tok.rfind("tier=", 0) == 0) {
-                req.tier = tok.substr(5) == "interactive"
-                               ? serve::Tier::kInteractive
-                               : serve::Tier::kBatch;
+                const std::string tier = tok.substr(5);
+                ok = tier == "interactive" || tier == "batch";
+                req.tier = tier == "interactive" ? serve::Tier::kInteractive
+                                                 : serve::Tier::kBatch;
             } else if (tok.rfind("deadline-us=", 0) == 0) {
                 ok = parseInteger(tok.substr(12), req.deadline_us);
             } else if (tok.rfind("cancel-after-us=", 0) == 0) {
@@ -317,7 +320,7 @@ main(int argc, char **argv)
     int failures = 0;
     for (size_t i = 0; i < futures.size(); ++i) {
         const serve::Response resp = futures[i].get();
-        if (resp.ok && !resp.tokens.empty()) {
+        if (resp.ok) {
             std::cout << "id=" << resp.id
                       << " ok tokens=" << formatTokens(resp.tokens)
                       << " score="
