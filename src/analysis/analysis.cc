@@ -1,10 +1,5 @@
 #include "analysis/analysis.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "core/logging.h"
-
 namespace echo::analysis {
 
 AnalysisReport
@@ -29,26 +24,6 @@ analyzeAll(const std::vector<graph::Val> &fetches,
     if (opts.parallel_hazards)
         report.merge(detectParallelHazards(buildTopology(fetches)));
     return report;
-}
-
-bool
-verifyEnvEnabled()
-{
-    const char *env = std::getenv("ECHO_VERIFY");
-    return env != nullptr && std::strcmp(env, "1") == 0;
-}
-
-void
-verifyOrDie(const std::vector<graph::Val> &fetches, const char *what)
-{
-    const AnalysisReport report = analyzeAll(fetches);
-    if (!report.ok()) {
-        ECHO_PANIC("static analysis of ", what, " found ",
-                   report.errorCount(), " error(s):\n",
-                   report.toString());
-    }
-    if (report.warningCount() > 0)
-        ECHO_WARN("static analysis of ", what, ":\n", report.toString());
 }
 
 } // namespace echo::analysis

@@ -5,11 +5,9 @@
  * the memory plan), and — for parallel execution — the ready-queue
  * hazard detector over everything a fetch set depends on.
  *
- * Consumed three ways:
- *  - the echo-lint CLI (tools/echo_lint.cc) for CI,
- *  - tests, as a mandatory post-pass check,
- *  - the training loop, behind the ECHO_VERIFY=1 environment flag
- *    (verifyEnvEnabled / verifyOrDie).
+ * Consumed by the echo-lint CLI (tools/echo_lint.cc) for CI and by
+ * tests, as a mandatory post-pass check; pipelines run the same
+ * analyzers as checkers of the `verify` pass.
  */
 #ifndef ECHO_ANALYSIS_ANALYSIS_H
 #define ECHO_ANALYSIS_ANALYSIS_H
@@ -41,16 +39,6 @@ struct AnalyzeOptions
 AnalysisReport analyzeAll(const std::vector<graph::Val> &fetches,
                           const std::vector<graph::Val> &weight_grads = {},
                           const AnalyzeOptions &opts = {});
-
-/** True when the ECHO_VERIFY environment variable is set to 1. */
-bool verifyEnvEnabled();
-
-/**
- * analyzeAll, panicking with the full report when it finds errors.
- * @p what names the caller in the panic message.
- */
-void verifyOrDie(const std::vector<graph::Val> &fetches,
-                 const char *what);
 
 } // namespace echo::analysis
 

@@ -3,7 +3,7 @@
  * Diagnostic types shared by every static analyzer in src/analysis.
  *
  * Analyzers never abort on a violation — they collect Diagnostics into
- * an AnalysisReport so callers (echo-lint, tests, the ECHO_VERIFY hook)
+ * an AnalysisReport so callers (echo-lint, tests, the pipeline checkers)
  * can print the whole story: which invariant broke, and the chain of
  * offending nodes (name, op, phase, schedule slot) that breaks it.
  */

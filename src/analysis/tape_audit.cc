@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "graph/tape.h"
@@ -77,14 +78,18 @@ auditTape(const graph::Tape &tape)
             expect.emplace(id, alloc);
     }
 
-    // Total ref-count decrements per value: a value dies on its last
-    // one.  Mirrors the tape's own run-time release discipline.
-    std::unordered_map<int, int> total_dec, seen_dec;
-    for (int id : tape.releaseValues())
-        ++total_dec[id];
+    // Liveness of every transient, by dense value id: its one legal
+    // free point is the record at last_use_pos.
+    std::map<int, const memory::ValueInfo *> transients;
+    for (const memory::ValueInfo &vi : tape.liveness().values) {
+        const int id = tape.valueId(vi.val);
+        if (!vi.persistent && id >= 0)
+            transients.emplace(id, &vi);
+    }
+    std::unordered_set<int> freed;
 
     // (c) + (d): walk the records in schedule order.  Outputs go live
-    // before the record's releases retire inputs — the same
+    // before the record's free list retires values — the same
     // alloc-before-free convention the planner uses at a shared
     // schedule position (see analysis/lifetime.cc checkPlan).
     std::map<int64_t, LiveSlot> active;          // keyed by begin offset
@@ -162,37 +167,55 @@ auditTape(const graph::Tape &tape)
         }
         for (int j = 0; j < r.release_count; ++j) {
             const int id = releases[size_t(r.release_begin + j)];
-            const int seen = ++seen_dec[id];
-            const int total = total_dec[id];
-            if (seen > total) {
-                report.add(Check::kDoubleFree, Severity::kError,
-                           "tape value released more times than its "
-                           "use count",
-                           {NodeRef::of(r.node, r.sched_pos)});
+            const NodeRef here = NodeRef::of(r.node, r.sched_pos);
+            const auto it = transients.find(id);
+            if (it == transients.end()) {
+                report.add(Check::kTapeSlotMismatch, Severity::kError,
+                           "tape frees a value that is not a planned "
+                           "transient",
+                           {here});
                 continue;
             }
-            if (seen == total) {
-                const auto lb = live_begin.find(id);
-                if (lb != live_begin.end()) {
-                    active.erase(lb->second);
-                    live_begin.erase(lb);
-                }
+            const memory::ValueInfo &vi = *it->second;
+            const NodeRef producer = NodeRef::of(vi.val.node, vi.def_pos);
+            if (!freed.insert(id).second) {
+                report.add(Check::kDoubleFree, Severity::kError,
+                           "tape frees a transient twice", {producer, here});
+                continue;
+            }
+            if (r.sched_pos < vi.last_use_pos) {
+                report.add(Check::kUseAfterFree, Severity::kError,
+                           "tape frees a transient at slot " +
+                               std::to_string(r.sched_pos) +
+                               ", before its last use at slot " +
+                               std::to_string(vi.last_use_pos),
+                           {producer, here});
+            } else if (r.sched_pos > vi.last_use_pos) {
+                report.add(Check::kLeakedSlot, Severity::kError,
+                           "tape frees a transient at slot " +
+                               std::to_string(r.sched_pos) +
+                               ", after its last use at slot " +
+                               std::to_string(vi.last_use_pos),
+                           {producer, here});
+            }
+            const auto lb = live_begin.find(id);
+            if (lb != live_begin.end()) {
+                active.erase(lb->second);
+                live_begin.erase(lb);
             }
         }
     }
 
-    // Everything transient must have died by the end of the replay;
-    // survivors would pin arena bytes across runs.
-    for (const auto &[id, begin] : live_begin) {
-        const auto it = active.find(begin);
-        report.add(Check::kLeakedSlot, Severity::kError,
-                   "transient tape slot at offset " +
-                       std::to_string(begin) +
-                       " is never released by any record",
-                   it != active.end()
-                       ? std::vector<NodeRef>{NodeRef::of(
-                             it->second.node, it->second.sched_pos)}
-                       : std::vector<NodeRef>{});
+    // Every transient must be freed; a survivor would pin arena bytes
+    // the planner hands to a later value.
+    for (const auto &[id, vi] : transients) {
+        if (freed.count(id) == 0) {
+            report.add(Check::kLeakedSlot, Severity::kError,
+                       "transient tape value is never freed (last use "
+                       "at slot " +
+                           std::to_string(vi->last_use_pos) + ")",
+                       {NodeRef::of(vi->val.node, vi->def_pos)});
+        }
     }
 
     // The replay's high-water mark must reach the plan's peak: the

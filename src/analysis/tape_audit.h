@@ -4,9 +4,9 @@
  *
  * The tape's whole claim is that the memory plan IS the allocator: an
  * arena of exactly pool_peak_bytes, every transient output placed at
- * its planner offset, buffers released by ref count as the records
- * retire.  auditTape re-checks that claim without trusting the tape's
- * own compile-time bookkeeping:
+ * its planner offset, and every transient freed right after the
+ * record of its liveness last use.  auditTape re-checks that claim
+ * without trusting the tape's own compile-time bookkeeping:
  *
  *  - the arena must be plan().pool_peak_bytes, byte for byte, and
  *    re-planning the tape's own liveness analysis must reproduce that
@@ -17,13 +17,17 @@
  *    independently integrated);
  *  - every transient output slot must sit at its planned offset with
  *    its planned size, inside the arena;
- *  - replaying the records in schedule order with the tape's own
- *    release lists must never place two simultaneously-live transients
- *    in overlapping bytes, must free every transient exactly once, and
- *    must reach a high-water mark equal to pool_peak_bytes.
+ *  - every transient must appear on exactly one free list, that of the
+ *    record at its liveness last_use_pos (earlier frees a value a
+ *    later record still reads; later or never pins arena bytes the
+ *    planner hands to another value);
+ *  - replaying the records in schedule order with those free lists
+ *    must never place two simultaneously-live transients in
+ *    overlapping bytes, and must reach a high-water mark equal to
+ *    pool_peak_bytes.
  *
- * Wired into the pass manager as the `tape-ready` postcondition
- * checker of the tape_compile pass, and into `echo-lint --tape`.
+ * Run by `echo-lint --tape` and by the tape tests over the tape that
+ * Executor::compile() builds.
  */
 #ifndef ECHO_ANALYSIS_TAPE_AUDIT_H
 #define ECHO_ANALYSIS_TAPE_AUDIT_H

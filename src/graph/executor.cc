@@ -170,7 +170,6 @@ Executor::useParallel() const
 std::vector<Tensor>
 Executor::run(const FeedDict &feed) const
 {
-    const bool parallel = useParallel();
     static obs::Counter &c_runs = obs::counter("exec.runs");
     c_runs.add(1);
     if (tapeEnvEnabled()) {
@@ -180,8 +179,9 @@ Executor::run(const FeedDict &feed) const
         if (!tape_)
             tape_ = std::make_unique<Tape>(fetches_);
         tape_->bindFeeds(feed);
-        return tape_->run(parallel);
+        return tape_->run();
     }
+    const bool parallel = useParallel();
     obs::Span span;
     if (obs::traceEnabled())
         span.begin("exec", parallel ? "run.parallel" : "run.serial",

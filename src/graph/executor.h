@@ -20,6 +20,11 @@
  * ops are pure functions of their input tensors, every node's output is
  * written by exactly one task, and no op mutates shared state, so the
  * dispatch order cannot change any computed value.
+ *
+ * Under ECHO_TAPE=on, run() instead replays the compiled execution
+ * tape (graph/tape.h), which always walks the schedule serially from
+ * a planner-addressed arena; the interpreter stays the reference
+ * oracle it is tested against.
  */
 #ifndef ECHO_GRAPH_EXECUTOR_H
 #define ECHO_GRAPH_EXECUTOR_H
@@ -39,7 +44,8 @@ class Tape;
 /** Values fed into a run: one tensor per placeholder / weight node. */
 using FeedDict = std::unordered_map<const Node *, Tensor>;
 
-/** How Executor::run walks the schedule. */
+/** How the interpreter walks the schedule (the tape is always
+ *  serial). */
 enum class ExecMode
 {
     /** Strict schedule order on the calling thread. */
@@ -71,9 +77,10 @@ class Executor
      *
      * Thread-safe: all per-run state is local, so concurrent run()
      * calls on one Executor are fine.  Under ECHO_TAPE=on runs route
-     * through the compiled tape (graph/tape.h), whose mutable arena
-     * state is serialized by an internal mutex — still thread-safe,
-     * but concurrent runs no longer overlap.
+     * through the compiled tape (graph/tape.h), which ignores the
+     * ExecMode and whose mutable arena state is serialized by an
+     * internal mutex — still thread-safe, but concurrent runs no
+     * longer overlap.
      */
     std::vector<Tensor> run(const FeedDict &feed) const;
 

@@ -1,8 +1,6 @@
 #include "graph/fusion.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -227,21 +225,6 @@ runFusionPass(graph::Graph &g, const std::vector<Val> &fetches,
     std::reverse(res.groups.begin(), res.groups.end());
     countFusion(res);
     return res;
-}
-
-bool
-fusionEnvEnabled()
-{
-    const char *env = std::getenv("ECHO_FUSION");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-FusionResult
-fuseIfEnabled(graph::Graph &g, const std::vector<Val> &fetches)
-{
-    FusionConfig config;
-    config.enabled = fusionEnvEnabled();
-    return runFusionPass(g, fetches, config);
 }
 
 } // namespace echo::fusion

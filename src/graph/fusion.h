@@ -26,8 +26,9 @@
  *    makes cycles impossible: only the sink's output leaves the group,
  *    and every member's id is below the sink's.
  *
- * The pass is on by default (ECHO_FUSION=0 disables it) and runs after
- * autodiff, so gradients are fused exactly like forward chains.
+ * The pass is in the default training pipeline ("autodiff,fusion"; an
+ * ECHO_PASSES spec without it disables it) and runs after autodiff,
+ * so gradients are fused exactly like forward chains.
  * Byte-identical outputs vs. the unfused graph at any thread count is
  * the hard contract, enforced by tests/test_fusion.cc and the fuzz
  * property suite.
@@ -87,16 +88,6 @@ struct FusionResult
 FusionResult runFusionPass(graph::Graph &g,
                            const std::vector<graph::Val> &fetches,
                            const FusionConfig &config = {});
-
-/** ECHO_FUSION environment switch; unset or "1" = on, "0" = off. */
-bool fusionEnvEnabled();
-
-/**
- * Convenience used by the model builders: runFusionPass with the
- * default config when fusionEnvEnabled(), else an empty result.
- */
-FusionResult fuseIfEnabled(graph::Graph &g,
-                           const std::vector<graph::Val> &fetches);
 
 } // namespace echo::fusion
 

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
-#include <set>
 #include <utility>
 
 #include "core/logging.h"
-#include "core/thread_pool.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -49,26 +46,17 @@ alignUp(int64_t x, int64_t alignment)
 
 } // namespace
 
-Tape::Tape(std::vector<Val> fetches, Options opts)
-    : fetches_(std::move(fetches))
+Tape::Tape(std::vector<Val> fetches) : fetches_(std::move(fetches))
 {
     live_ = memory::analyzeLiveness(fetches_);
-    memory::PlannerOptions popts;
-    popts.alignment = opts.alignment;
-    plan_ = memory::planMemory(live_, popts);
-    compile(opts);
-}
-
-Tape::Tape(std::vector<Val> fetches, const memory::LivenessResult &live,
-           const memory::MemoryPlan &plan, Options opts)
-    : fetches_(std::move(fetches)), live_(live), plan_(plan)
-{
-    compile(opts);
+    plan_ = memory::planMemory(live_);
+    compile();
 }
 
 void
-Tape::compile(const Options &opts)
+Tape::compile()
 {
+    const int64_t alignment = memory::PlannerOptions{}.alignment;
     const std::vector<Node *> &schedule = live_.schedule;
     const size_t n = schedule.size();
 
@@ -111,30 +99,19 @@ Tape::compile(const Options &opts)
         }
     }
 
-    // Inputs + ready-count templates, and per-value use counts (one
-    // use per transient input edge).
-    value_uses_template_.assign(static_cast<size_t>(next_id), 0);
-    for (Record &r : records_) {
-        const Node *node = r.node;
-        r.in_begin = static_cast<int>(input_values_.size());
-        r.in_count = static_cast<int>(node->inputs.size());
-        for (const Val &v : node->inputs) {
-            const int id = id_of(v);
-            input_values_.push_back(id);
-            if (v.node->kind == NodeKind::kOp)
-                ++r.pending_template;
-            if (!info_of(v).persistent)
-                ++value_uses_template_[static_cast<size_t>(id)];
-        }
-    }
-
-    // Output placements: transients at their planner offsets,
-    // persistent op outputs bump-allocated in the double-buffered
-    // region.
+    // Inputs, and output placements: transients at their planner
+    // offsets, persistent op outputs bump-allocated in the
+    // double-buffered region.  Each transient joins the free list of
+    // the record at its liveness last use.
     int64_t persist_cursor = 0;
-    std::vector<int64_t> planned_end(0); // per out slot; 0 = persistent
+    std::vector<std::vector<int>> frees(records_.size());
     for (Record &r : records_) {
         Node *node = const_cast<Node *>(r.node);
+        r.in_begin = static_cast<int>(input_values_.size());
+        r.in_count = static_cast<int>(node->inputs.size());
+        for (const Val &v : node->inputs)
+            input_values_.push_back(id_of(v));
+
         r.out_begin = static_cast<int>(out_slots_.size());
         r.out_count = node->numOutputs();
         for (int i = 0; i < node->numOutputs(); ++i) {
@@ -143,147 +120,34 @@ Tape::compile(const Options &opts)
             OutSlot os;
             os.value = id_of(v);
             os.bytes = vi.bytes;
-            int64_t end = 0;
             if (vi.persistent) {
                 os.persistent = true;
                 os.offset = persist_cursor;
-                persist_cursor += alignUp(vi.bytes, opts.alignment);
+                persist_cursor += alignUp(vi.bytes, alignment);
             } else {
                 auto it = plan_.offsets.find(v);
                 ECHO_CHECK(it != plan_.offsets.end(),
                            "tape: transient value of node #", node->id,
                            " missing from the memory plan");
                 os.offset = it->second.offset;
-                end = it->second.offset + it->second.bytes;
                 ECHO_CHECK(os.offset + vi.bytes <= plan_.pool_peak_bytes,
                            "tape: planned slot of node #", node->id,
                            " exceeds the pool peak");
+                const int last =
+                    record_of_pos[static_cast<size_t>(vi.last_use_pos)];
+                ECHO_CHECK(last >= 0, "tape: last use of node #",
+                           node->id, " is not an op record");
+                frees[static_cast<size_t>(last)].push_back(os.value);
             }
             out_slots_.push_back(os);
-            planned_end.push_back(end);
         }
     }
-
-    // Release (decrement) lists: transient input edges, then this
-    // record's own dead outputs (self-released with one synthetic use
-    // so the generic decrement path drops them).
-    for (Record &r : records_) {
-        const Node *node = r.node;
-        r.release_begin = static_cast<int>(release_values_.size());
-        for (const Val &v : node->inputs)
-            if (!info_of(v).persistent)
-                release_values_.push_back(id_of(v));
-        for (int i = 0; i < r.out_count; ++i) {
-            const OutSlot &os =
-                out_slots_[static_cast<size_t>(r.out_begin + i)];
-            if (!os.persistent &&
-                value_uses_template_[static_cast<size_t>(os.value)] == 0) {
-                value_uses_template_[static_cast<size_t>(os.value)] = 1;
-                release_values_.push_back(os.value);
-            }
-        }
-        r.release_count =
-            static_cast<int>(release_values_.size()) - r.release_begin;
-    }
-
-    // Consumer records: data-flow edges (one per op->op input edge,
-    // mirroring the interpreter's in-degree bookkeeping), PLUS memory
-    // anti-dependency edges.  The planner proves offset reuse safe
-    // against SCHEDULE order only; the parallel path dispatches by
-    // dependency readiness, so a record whose output claims an arena
-    // block must additionally wait for every record that releases the
-    // block's previous occupant — otherwise an early-ready record
-    // could clobber a value some independent record still reads.
-    {
-        std::vector<std::vector<int>> cons(records_.size());
-        for (size_t ri = 0; ri < records_.size(); ++ri) {
-            for (const Val &v : records_[ri].node->inputs) {
-                if (v.node->kind != NodeKind::kOp)
-                    continue;
-                const int producer =
-                    record_of_pos[static_cast<size_t>(info_of(v).def_pos)];
-                ECHO_CHECK(producer >= 0,
-                           "tape: op input produced by a non-op record");
-                cons[static_cast<size_t>(producer)].push_back(
-                    static_cast<int>(ri));
-            }
-        }
-
-        // Records that decrement each transient value's use count; the
-        // value is guaranteed dead once ALL of them completed.
-        std::vector<std::vector<int>> releasers(values_.size());
-        for (size_t ri = 0; ri < records_.size(); ++ri) {
-            const Record &r = records_[ri];
-            for (int i = 0; i < r.release_count; ++i)
-                releasers[static_cast<size_t>(release_values_[static_cast<
-                              size_t>(r.release_begin + i)])]
-                    .push_back(static_cast<int>(ri));
-        }
-
-        // Sweep the planned address spans in offset order; spans that
-        // share bytes have schedule-disjoint lifetimes by construction,
-        // so the later-defined value's producer gets an edge from each
-        // releaser of the earlier one.  Edges always point forward in
-        // schedule order (releasers run no later than the occupant's
-        // last use, which precedes the reuser's definition), so the
-        // record graph stays acyclic.
-        struct Span
-        {
-            int64_t begin, end;
-            int producer; // record index (== schedule order of records)
-            int value;
-        };
-        std::vector<Span> spans;
-        spans.reserve(out_slots_.size());
-        for (size_t ri = 0; ri < records_.size(); ++ri) {
-            const Record &r = records_[ri];
-            for (int j = 0; j < r.out_count; ++j) {
-                const size_t si = static_cast<size_t>(r.out_begin + j);
-                if (out_slots_[si].persistent)
-                    continue;
-                spans.push_back(Span{out_slots_[si].offset,
-                                     planned_end[si],
-                                     static_cast<int>(ri),
-                                     out_slots_[si].value});
-            }
-        }
-        std::sort(spans.begin(), spans.end(),
-                  [](const Span &a, const Span &b) {
-                      return a.begin != b.begin ? a.begin < b.begin
-                                                : a.producer < b.producer;
-                  });
-        std::set<std::pair<int, int>> mem_edges;
-        for (size_t i = 0; i < spans.size(); ++i) {
-            for (size_t j = i + 1;
-                 j < spans.size() && spans[j].begin < spans[i].end; ++j) {
-                const Span &first = spans[i].producer <= spans[j].producer
-                                        ? spans[i]
-                                        : spans[j];
-                const Span &second = spans[i].producer <= spans[j].producer
-                                         ? spans[j]
-                                         : spans[i];
-                for (int rel :
-                     releasers[static_cast<size_t>(first.value)]) {
-                    if (rel == second.producer)
-                        continue;
-                    if (!mem_edges.emplace(rel, second.producer).second)
-                        continue;
-                    cons[static_cast<size_t>(rel)].push_back(
-                        second.producer);
-                    ++records_[static_cast<size_t>(second.producer)]
-                          .pending_template;
-                }
-            }
-        }
-
-        for (size_t ri = 0; ri < records_.size(); ++ri) {
-            records_[ri].consumers_begin =
-                static_cast<int>(consumers_.size());
-            records_[ri].consumers_count =
-                static_cast<int>(cons[ri].size());
-            consumers_.insert(consumers_.end(), cons[ri].begin(),
-                              cons[ri].end());
-        }
+    for (size_t ri = 0; ri < records_.size(); ++ri) {
+        records_[ri].release_begin =
+            static_cast<int>(release_values_.size());
+        records_[ri].release_count = static_cast<int>(frees[ri].size());
+        release_values_.insert(release_values_.end(), frees[ri].begin(),
+                               frees[ri].end());
     }
 
     // Fetches (may be feed values as well as op outputs).
@@ -292,15 +156,11 @@ Tape::compile(const Options &opts)
         fetch_value_ids_.push_back(id_of(v));
 
     // The arena IS the plan: exactly pool_peak_bytes, not a byte more.
-    arena_ = memory::Arena(plan_.pool_peak_bytes, opts.alignment);
+    arena_ = memory::Arena(plan_.pool_peak_bytes, alignment);
     persist_half_ = persist_cursor;
-    persist_ = memory::Arena(2 * persist_half_, opts.alignment);
+    persist_ = memory::Arena(2 * persist_half_, alignment);
 
     // Preallocate every piece of run-time bookkeeping.
-    slot_scratch_.resize(out_slots_.size());
-    for (size_t i = 0; i < out_slots_.size(); ++i)
-        slot_scratch_[i].bytes = out_slots_[i].bytes;
-
     size_t max_in = 0, max_out = 0;
     int64_t max_fixup_elems = 0;
     for (const Record &r : records_) {
@@ -316,20 +176,8 @@ Tape::compile(const Options &opts)
     }
     in_scratch_.reserve(max_in);
     out_scratch_.reserve(max_out);
+    slot_scratch_.resize(max_out);
     fixup_scratch_.resize(static_cast<size_t>(max_fixup_elems));
-
-    rec_in_scratch_.resize(records_.size());
-    rec_out_scratch_.resize(records_.size());
-    for (size_t ri = 0; ri < records_.size(); ++ri) {
-        rec_in_scratch_[ri].reserve(
-            static_cast<size_t>(records_[ri].in_count));
-        rec_out_scratch_[ri].reserve(
-            static_cast<size_t>(records_[ri].out_count));
-    }
-    pending_.resize(records_.size());
-    ready_ring_.resize(records_.size());
-    batch_.reserve(records_.size());
-    value_uses_.assign(static_cast<size_t>(next_id), 0);
 
     static obs::Counter &c_compiles = obs::counter("tape.compiles");
     c_compiles.add(1);
@@ -394,8 +242,7 @@ Tape::slotPtr(const OutSlot &slot, int64_t parity) const
 }
 
 void
-Tape::executeRecord(const Record &r, int64_t parity,
-                    std::vector<Tensor> &in, std::vector<Tensor> &out)
+Tape::executeRecord(const Record &r, int64_t parity)
 {
     const Node *node = r.node;
     obs::Span span;
@@ -406,6 +253,7 @@ Tape::executeRecord(const Record &r, int64_t parity,
                     {"phase", phaseName(node->phase)}});
     countOp(node);
 
+    std::vector<Tensor> &in = in_scratch_;
     in.clear();
     for (int i = 0; i < r.in_count; ++i) {
         const Tensor &t = values_[static_cast<size_t>(
@@ -415,13 +263,15 @@ Tape::executeRecord(const Record &r, int64_t parity,
         in.push_back(t);
     }
 
+    std::vector<Tensor> &out = out_scratch_;
     out.clear();
     out.resize(static_cast<size_t>(r.out_count));
-    AllocSlot *slots = slot_scratch_.data() + r.out_begin;
+    AllocSlot *slots = slot_scratch_.data();
     for (int j = 0; j < r.out_count; ++j) {
         const OutSlot &os =
             out_slots_[static_cast<size_t>(r.out_begin + j)];
         slots[j].ptr = slotPtr(os, parity);
+        slots[j].bytes = os.bytes;
         slots[j].owner =
             os.persistent ? &persist_.owner() : &arena_.owner();
         slots[j].claimed = false;
@@ -437,7 +287,7 @@ Tape::executeRecord(const Record &r, int64_t parity,
                    "op ", node->op->name(), " produced output ", j,
                    " with wrong shape");
     }
-    fixupOutputs(r, parity, out);
+    fixupOutputs(r, parity);
     for (int j = 0; j < r.out_count; ++j)
         values_[static_cast<size_t>(
             out_slots_[static_cast<size_t>(r.out_begin + j)].value)] =
@@ -445,8 +295,7 @@ Tape::executeRecord(const Record &r, int64_t parity,
 }
 
 void
-Tape::fixupOutputs(const Record &r, int64_t parity,
-                   std::vector<Tensor> &out)
+Tape::fixupOutputs(const Record &r, int64_t parity)
 {
     // An output landed somewhere other than its planned slot when the
     // op returned a view of an input (reshape), or a temporary claimed
@@ -456,7 +305,8 @@ Tape::fixupOutputs(const Record &r, int64_t parity,
     // run's parity flip will overwrite it (persistents).  Misplaced
     // outputs of one record can sit in each other's slots, so they are
     // staged through the fixup scratch before placement.
-    AllocSlot *slots = slot_scratch_.data() + r.out_begin;
+    std::vector<Tensor> &out = out_scratch_;
+    AllocSlot *slots = slot_scratch_.data();
     int misplaced = 0;
     for (int j = 0; j < r.out_count; ++j) {
         const OutSlot &os =
@@ -467,7 +317,7 @@ Tape::fixupOutputs(const Record &r, int64_t parity,
             (arena_.contains(p) ||
              (os.persistent && persist_.contains(p)));
         // The hook no longer needs `claimed`; reuse it as the per-slot
-        // misplacement mark (this record's range is exclusively ours).
+        // misplacement mark.
         slots[j].claimed = needs_copy;
         misplaced += needs_copy;
     }
@@ -476,7 +326,6 @@ Tape::fixupOutputs(const Record &r, int64_t parity,
 
     static obs::Counter &c_fixups =
         obs::counter("tape.fixup_copies", obs::CounterKind::kScheduling);
-    std::lock_guard<std::mutex> lk(fixup_mu_);
     int64_t cursor = 0;
     for (int j = 0; j < r.out_count; ++j) {
         if (!slots[j].claimed)
@@ -507,137 +356,36 @@ Tape::fixupOutputs(const Record &r, int64_t parity,
 void
 Tape::releaseAfter(const Record &r)
 {
-    for (int i = 0; i < r.release_count; ++i) {
-        const int id =
-            release_values_[static_cast<size_t>(r.release_begin + i)];
-        int &uses = value_uses_[static_cast<size_t>(id)];
-        ECHO_CHECK(uses > 0, "tape: use-count underflow after node #",
-                   r.node->id);
-        if (--uses == 0)
-            values_[static_cast<size_t>(id)] = Tensor();
-    }
-}
-
-void
-Tape::runSerialImpl(int64_t parity)
-{
-    std::copy(value_uses_template_.begin(), value_uses_template_.end(),
-              value_uses_.begin());
-    for (const Record &r : records_) {
-        executeRecord(r, parity, in_scratch_, out_scratch_);
-        releaseAfter(r);
-    }
-}
-
-void
-Tape::runParallelImpl(int64_t parity)
-{
-    std::copy(value_uses_template_.begin(), value_uses_template_.end(),
-              value_uses_.begin());
-
-    const size_t n = records_.size();
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t completed = 0, inflight = 0;
-    size_t head = 0, tail = 0; // FIFO over ready_ring_ (each record is
-                               // pushed exactly once — no wraparound)
-    std::exception_ptr error;
-
-    for (size_t ri = 0; ri < n; ++ri) {
-        pending_[ri] = records_[ri].pending_template;
-        if (pending_[ri] == 0)
-            ready_ring_[tail++] = static_cast<int>(ri);
-    }
-
-    auto run_record = [&](int rec) {
-        const Record &r = records_[static_cast<size_t>(rec)];
-        // values_ element access is race-free without the lock: a
-        // record becomes ready only after every producer published its
-        // outputs (happens-before via mu), and a value is cleared only
-        // after all consuming records completed (use counts).
-        executeRecord(r, parity,
-                      rec_in_scratch_[static_cast<size_t>(rec)],
-                      rec_out_scratch_[static_cast<size_t>(rec)]);
-        std::lock_guard<std::mutex> lk(mu);
-        releaseAfter(r);
-        for (int ci = 0; ci < r.consumers_count; ++ci) {
-            const int c = consumers_[static_cast<size_t>(
-                r.consumers_begin + ci)];
-            if (--pending_[static_cast<size_t>(c)] == 0)
-                ready_ring_[tail++] = c;
-        }
-        ++completed;
-    };
-
-    ThreadPool &pool = ThreadPool::global();
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-        cv.wait(lk, [&] { return head != tail || inflight == 0; });
-        if (error) {
-            head = tail;
-            if (inflight > 0)
-                continue;
-            std::exception_ptr err = error;
-            lk.unlock();
-            std::rethrow_exception(err);
-        }
-        if (head == tail) {
-            ECHO_CHECK(completed == n, "tape stalled with ",
-                       n - completed,
-                       " records blocked (dependency cycle?)");
-            break;
-        }
-        batch_.clear();
-        while (head != tail)
-            batch_.push_back(ready_ring_[head++]);
-        inflight += batch_.size();
-        lk.unlock();
-        for (int rec : batch_) {
-            pool.submit([&, rec] {
-                try {
-                    run_record(rec);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lk2(mu);
-                    if (!error)
-                        error = std::current_exception();
-                    ++completed;
-                }
-                // Notify under the mutex: the dispatcher tears the
-                // run state down as soon as inflight hits zero.
-                std::lock_guard<std::mutex> lk2(mu);
-                --inflight;
-                cv.notify_all();
-            });
-        }
-        lk.lock();
-    }
-    lk.unlock();
+    for (int i = 0; i < r.release_count; ++i)
+        values_[static_cast<size_t>(
+            release_values_[static_cast<size_t>(r.release_begin + i)])] =
+            Tensor();
 }
 
 std::vector<Tensor>
-Tape::run(bool parallel)
+Tape::run()
 {
     std::vector<Tensor> out;
-    runInto(out, parallel);
+    runInto(out);
     return out;
 }
 
 void
-Tape::runInto(std::vector<Tensor> &out, bool parallel)
+Tape::runInto(std::vector<Tensor> &out)
 {
     checkFeedsBound();
     static obs::Counter &c_runs = obs::counter("tape.runs");
     c_runs.add(1);
     obs::Span span;
     if (obs::traceEnabled())
-        span.begin("tape", parallel ? "run.parallel" : "run.serial",
+        span.begin("tape", "run.serial",
                    {{"records", static_cast<int64_t>(records_.size())}});
 
     const int64_t parity = run_count_ & 1;
-    if (parallel)
-        runParallelImpl(parity);
-    else
-        runSerialImpl(parity);
+    for (const Record &r : records_) {
+        executeRecord(r, parity);
+        releaseAfter(r);
+    }
     ++run_count_;
 
     out.clear();

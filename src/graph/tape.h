@@ -6,32 +6,35 @@
  *
  * The interpreter loop in graph/executor.cc re-derives per run what
  * never changes between runs: it heap-allocates every intermediate,
- * hashes the feed map per placeholder, and rebuilds ready bookkeeping.
+ * hashes the feed map per placeholder, and counts down use counts.
  * Training and serving run the same schedule thousands of times —
  * steady-state repetition is exactly what persistent-kernel and
  * prepacked-BLAS work exploits — so the tape precomputes all of it:
  *
- *  - dispatch records: node, flat input/output value ids, release
- *    list, and a ready-count template for parallel dispatch;
+ *  - dispatch records in schedule order: node, flat input/output value
+ *    ids, and a free list — the transients whose liveness last use is
+ *    this record, each freed exactly once, right after it;
  *  - placements: transient values get their planner offset inside an
  *    arena of EXACTLY plan.pool_peak_bytes (the plan becomes the
- *    actual allocator — arenaBytes() == pool_peak_bytes is asserted
- *    and cross-checked against the obs timeline replay by the
- *    `tape-ready` pass checker); persistent op outputs (fetches,
- *    weight gradients) live in a separate double-buffered region;
+ *    actual allocator — arenaBytes() == pool_peak_bytes, cross-checked
+ *    against the obs timeline replay by analysis::auditTape);
+ *    persistent op outputs (fetches, weight gradients) live in a
+ *    separate double-buffered region;
  *  - feed binding by INDEX: bindFeed(feedIndex(node), t) writes the
  *    value slot directly, so a steady-state caller re-binds step
  *    inputs with zero hash lookups (bindFeeds(FeedDict) remains as
  *    the hashing convenience for compatibility paths).
  *
- * Steady-state runs perform zero heap allocations on the serial path:
- * op outputs are served from the arena via the thread-local allocation
- * hook (tensor/alloc_hook.h), fetch results are returned through a
+ * The tape runs its records serially, in schedule order: the planner
+ * proves offset reuse safe in that order only, so the free lists and
+ * the arena need no run-time bookkeeping.  Ops still parallelize
+ * internally on the thread pool.
+ *
+ * Steady-state runs perform zero heap allocations: op outputs are
+ * served from the arena via the thread-local allocation hook
+ * (tensor/alloc_hook.h), fetch results are returned through a
  * caller-reused vector (runInto), and all run bookkeeping lives in
- * preallocated members.  The parallel path reuses the same records
- * with ready counts reset from the template (pool hand-off itself may
- * allocate; the zero-malloc claim is asserted for the serial path by
- * bench/steady_state).
+ * preallocated members (asserted by bench/steady_state).
  *
  * Placement is an optimization, never a correctness dependency:
  * downstream records read inputs through the stored Tensor handles,
@@ -50,8 +53,6 @@
 #ifndef ECHO_GRAPH_TAPE_H
 #define ECHO_GRAPH_TAPE_H
 
-#include <condition_variable>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -68,27 +69,8 @@ namespace echo::graph {
 class Tape
 {
   public:
-    struct Options
-    {
-        // Constructor init (not an NSDMI): GCC refuses a nested
-        // class's default member initializers in default arguments of
-        // the enclosing class's own members.
-        Options() : alignment(256) {}
-
-        /** Pool granularity; must match the plan's. */
-        int64_t alignment;
-    };
-
     /** Compile @p fetches (analyzes liveness and plans memory here). */
-    explicit Tape(std::vector<Val> fetches, Options opts = {});
-
-    /**
-     * Compile against an existing analysis — the pass-manager path,
-     * where `plan` already ran.  @p plan must be planMemory(@p live)
-     * at @p opts.alignment; the arena is sized to its peak exactly.
-     */
-    Tape(std::vector<Val> fetches, const memory::LivenessResult &live,
-         const memory::MemoryPlan &plan, Options opts = {});
+    explicit Tape(std::vector<Val> fetches);
 
     // ------------------------------------------------------------------
     // Feed binding (persistent across runs)
@@ -116,11 +98,11 @@ class Tape
 
     /** Run and return the fetch tensors (allocates the result vector;
      *  see runInto for the zero-allocation variant). */
-    std::vector<Tensor> run(bool parallel = false);
+    std::vector<Tensor> run();
 
     /** Run, refilling @p out (cleared first; capacity is reused, so a
      *  caller-retained vector makes steady state allocation-free). */
-    void runInto(std::vector<Tensor> &out, bool parallel = false);
+    void runInto(std::vector<Tensor> &out);
 
     // ------------------------------------------------------------------
     // Introspection (tests, audits, bench)
@@ -130,23 +112,17 @@ class Tape
     struct Record
     {
         const Node *node = nullptr;
-        /** Inputs: [in_begin, in_begin+in_count) in inputValues(). */
+        /** Inputs: [in_begin, in_begin+in_count) in input_values_. */
         int in_begin = 0, in_count = 0;
         /** Outputs: [out_begin, out_begin+out_count) in outSlots(). */
         int out_begin = 0, out_count = 0;
         /**
-         * Ref-count decrement list (range into releaseValues()): one
-         * entry per transient input edge, plus this record's own dead
-         * outputs.  A value is dropped when its count hits zero — the
-         * same use-count discipline as the interpreter, which stays
-         * correct under out-of-order parallel completion (the
-         * last-in-schedule consumer is not always the last to finish).
+         * Free list (range into releaseValues()): the transients whose
+         * liveness last use is this record — inputs read here for the
+         * last time, and this record's own unused outputs.  Each
+         * transient appears in exactly one record's list.
          */
         int release_begin = 0, release_count = 0;
-        /** Ready-count template: input edges from op records. */
-        int pending_template = 0;
-        /** Consumer records: range into consumerRecords(). */
-        int consumers_begin = 0, consumers_count = 0;
         /** Position of the node in the analyzed schedule. */
         int sched_pos = 0;
     };
@@ -164,12 +140,10 @@ class Tape
 
     const std::vector<Record> &records() const { return records_; }
     const std::vector<OutSlot> &outSlots() const { return out_slots_; }
-    const std::vector<int> &inputValues() const { return input_values_; }
     const std::vector<int> &releaseValues() const
     {
         return release_values_;
     }
-    const std::vector<int> &consumerRecords() const { return consumers_; }
 
     /** Dense value id of @p v, or -1. */
     int valueId(const Val &v) const;
@@ -180,36 +154,26 @@ class Tape
     /** Both halves of the persistent (fetch/grad) region. */
     int64_t persistentBytes() const { return persist_.bytes(); }
 
-    float *arenaBase() const { return arena_.base(); }
-
-    /** Completed runs (also the parity source). */
-    int64_t runCount() const { return run_count_; }
-
     const std::vector<Val> &fetches() const { return fetches_; }
     const memory::LivenessResult &liveness() const { return live_; }
     const memory::MemoryPlan &plan() const { return plan_; }
 
   private:
-    void compile(const Options &opts);
+    void compile();
     void checkFeedsBound() const;
 
     /** The address of @p slot for the given parity. */
     float *slotPtr(const OutSlot &slot, int64_t parity) const;
 
-    /** Execute one record with @p in / @p out as scratch. */
-    void executeRecord(const Record &r, int64_t parity,
-                       std::vector<Tensor> &in,
-                       std::vector<Tensor> &out);
+    /** Execute one record into the run scratch. */
+    void executeRecord(const Record &r, int64_t parity);
 
     /** Copy misplaced outputs into their planned slots (see file
      *  comment); safe under output-permutation via the fixup scratch. */
-    void fixupOutputs(const Record &r, int64_t parity,
-                      std::vector<Tensor> &out);
+    void fixupOutputs(const Record &r, int64_t parity);
 
+    /** Drop the values on @p r's free list. */
     void releaseAfter(const Record &r);
-
-    void runSerialImpl(int64_t parity);
-    void runParallelImpl(int64_t parity);
 
     std::vector<Val> fetches_;
     memory::LivenessResult live_;
@@ -223,10 +187,6 @@ class Tape
     std::vector<OutSlot> out_slots_;
     std::vector<int> input_values_;
     std::vector<int> release_values_;
-    std::vector<int> consumers_;
-
-    /** Per-record AllocSlot storage, aligned with out_slots_. */
-    std::vector<AllocSlot> slot_scratch_;
 
     /** The value table: one Tensor handle per node output. */
     std::vector<Tensor> values_;
@@ -238,25 +198,14 @@ class Tape
 
     std::vector<int> fetch_value_ids_;
 
-    /** Use-count template per value id (0 for persistent values). */
-    std::vector<int> value_uses_template_;
-    /** Runtime use counts, reset from the template each run. */
-    std::vector<int> value_uses_;
-
-    /** Fixup staging (max total output bytes of any record); shared
-     *  across records, so parallel fixups serialize on fixup_mu_. */
+    /** Fixup staging (max total output bytes of any record). */
     std::vector<float> fixup_scratch_;
-    std::mutex fixup_mu_;
 
-    // Serial-run scratch (capacity retained across runs).
+    // Run scratch (capacity retained across runs).
     std::vector<Tensor> in_scratch_, out_scratch_;
+    std::vector<AllocSlot> slot_scratch_;
 
-    // Parallel-run state (preallocated; reset from templates per run).
-    std::vector<std::vector<Tensor>> rec_in_scratch_, rec_out_scratch_;
-    std::vector<int> pending_;
-    std::vector<int> ready_ring_;
-    std::vector<int> batch_;
-
+    /** Completed runs (the parity source). */
     int64_t run_count_ = 0;
 };
 

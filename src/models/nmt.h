@@ -135,7 +135,8 @@ class NmtModel
     const NamedWeights &weights() const { return weights_; }
 
     /** What the element-wise fusion pass did to this graph (empty when
-     *  ECHO_FUSION=0); echo-lint feeds this to analysis::auditFusion. */
+     *  the pipeline has no fusion pass); echo-lint feeds this to
+     *  analysis::auditFusion. */
     const fusion::FusionResult &fusionResult() const
     {
         return fusion_;

@@ -10,9 +10,7 @@ namespace echo::models {
 
 namespace {
 
-/** Legacy magic: headerless body follows immediately. */
-constexpr char kLegacyMagic[8] = {'E', 'C', 'H', 'O', '0', '0', '0', '1'};
-/** Current magic: u32 version + u32 reserved follow, then the body. */
+/** Magic: u32 version + u32 reserved follow, then the body. */
 constexpr char kMagic[8] = {'E', 'C', 'H', 'O', 'C', 'K', 'P', 'T'};
 
 void
@@ -43,7 +41,7 @@ readU32(std::istream &is)
     return v;
 }
 
-/** Read the tensor entries shared by both format versions. */
+/** Read the tensor entries that follow the header. */
 ParamStore
 readBody(std::istream &is, const std::string &path)
 {
@@ -117,14 +115,9 @@ loadParams(const std::string &path)
 
     char magic[8];
     is.read(magic, sizeof(magic));
-    ECHO_REQUIRE(is.good(), path, " is not an ECHO checkpoint");
-
-    if (std::equal(std::begin(magic), std::end(magic),
-                   std::begin(kLegacyMagic)))
-        return readBody(is, path); // headerless v1
-
-    ECHO_REQUIRE(std::equal(std::begin(magic), std::end(magic),
-                            std::begin(kMagic)),
+    ECHO_REQUIRE(is.good() && std::equal(std::begin(magic),
+                                         std::end(magic),
+                                         std::begin(kMagic)),
                  path, " is not an ECHO checkpoint");
     const uint32_t version = readU32(is);
     const uint32_t reserved = readU32(is);

@@ -7,15 +7,11 @@
  * model-loading path, and a stable interchange point for users
  * embedding the library.
  *
- * Current format ("ECHOCKPT"): 8-byte magic, u32 version, u32 reserved
+ * Format ("ECHOCKPT"): 8-byte magic, u32 version, u32 reserved
  * (zero), u64 count, then per tensor: u64 name length, name bytes,
  * u64 ndim, i64 dims..., f32 data... — all little-endian.  The
  * versioned header exists so future layout changes can be detected
- * instead of misread.
- *
- * Legacy format ("ECHO0001"): same body with no version word after the
- * magic.  loadParams still reads it; saveParams always writes the
- * current format.
+ * instead of misread; a file with any other magic is rejected.
  */
 #ifndef ECHO_MODELS_SERIALIZE_H
 #define ECHO_MODELS_SERIALIZE_H
@@ -33,8 +29,7 @@ inline constexpr uint32_t kCheckpointVersion = 2;
 /** Write @p params to @p path (overwrites).  fatal() on I/O errors. */
 void saveParams(const ParamStore &params, const std::string &path);
 
-/** Read a checkpoint written by saveParams (either format version).
- *  fatal() on bad files. */
+/** Read a checkpoint written by saveParams.  fatal() on bad files. */
 ParamStore loadParams(const std::string &path);
 
 } // namespace echo::models

@@ -1,8 +1,6 @@
 #include "pass/builtin_passes.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -15,7 +13,6 @@
 #include "graph/autodiff.h"
 #include "graph/gemm_keys.h"
 #include "graph/schedule.h"
-#include "graph/tape.h"
 #include "memory/liveness.h"
 #include "memory/planner.h"
 #include "tune/tuner.h"
@@ -45,11 +42,9 @@ class AutodiffPass : public Pass
     {
         // One-shot: the graph is no longer "fresh forward", the
         // backward projections launch GEMM shapes no warm-up has seen,
-        // and any earlier memory plan (or tape compiled against it)
-        // predates the backward nodes.
+        // and any earlier memory plan predates the backward nodes.
         return {Invariant::kDifferentiable, Invariant::kGemmKeysWarm,
-                Invariant::kMemoryPlanned, Invariant::kPlanFeasible,
-                Invariant::kTapeReady};
+                Invariant::kMemoryPlanned, Invariant::kPlanFeasible};
     }
     void
     run(PipelineContext &ctx) override
@@ -81,11 +76,9 @@ class FusionPass : public Pass
         // FusedElementwiseOp has no gradient; and retyping group sinks
         // in place means an earlier recompute snapshot no longer
         // matches the graph's history, so its audit can't replay.  The
-        // rewrite also changes the schedule, so memory plans (and any
-        // tape compiled against them) go stale.
+        // rewrite also changes the schedule, so memory plans go stale.
         return {Invariant::kDifferentiable, Invariant::kRecomputeApplied,
-                Invariant::kMemoryPlanned, Invariant::kPlanFeasible,
-                Invariant::kTapeReady};
+                Invariant::kMemoryPlanned, Invariant::kPlanFeasible};
     }
     void
     run(PipelineContext &ctx) override
@@ -118,10 +111,9 @@ class RecomputePass : public Pass
     {
         // The rewrite may redirect a fused sink's frontier into
         // recompute clones, so the fusion journal no longer replays;
-        // it also appends nodes, so memory plans (and tapes) go stale.
+        // it also appends nodes, so memory plans go stale.
         return {Invariant::kFusionJournal, Invariant::kDifferentiable,
-                Invariant::kMemoryPlanned, Invariant::kPlanFeasible,
-                Invariant::kTapeReady};
+                Invariant::kMemoryPlanned, Invariant::kPlanFeasible};
     }
     void
     run(PipelineContext &ctx) override
@@ -212,8 +204,8 @@ class AuditFusionPass : public Pass
     }
 };
 
-/** No transform: runs every registered checker (the ECHO_VERIFY=1
- *  replacement — verification as a pipeline stage). */
+/** No transform: runs every registered checker (verification as a
+ *  pipeline stage). */
 class VerifyPass : public Pass
 {
   public:
@@ -223,7 +215,7 @@ class VerifyPass : public Pass
     {
         return {"graph-verify", "lifetime",        "hazards",
                 "fusion-audit", "recompute-audit", "memory-plan",
-                "plan-feasible", "tape-ready"};
+                "plan-feasible"};
     }
 };
 
@@ -239,12 +231,6 @@ class PlanPass : public Pass
     {
         return {Invariant::kMemoryPlanned};
     }
-    std::vector<Invariant> invalidates() const override
-    {
-        // Replacing ctx.plan orphans any tape compiled against the
-        // previous plan's offsets.
-        return {Invariant::kTapeReady};
-    }
     void
     run(PipelineContext &ctx) override
     {
@@ -259,42 +245,6 @@ class PlanPass : public Pass
     std::vector<std::string> postconditionCheckers() const override
     {
         return {"graph-verify", "memory-plan"};
-    }
-};
-
-/** Lowers the planned schedule into an execution tape (graph/tape.h):
- *  flat dispatch records, transients placed at their planner offsets
- *  inside an arena of exactly ctx.plan.pool_peak_bytes.  Must follow
- *  the plan pass — the tape is compiled against ctx.plan_liveness and
- *  ctx.plan rather than re-analyzing, so the memory-plan the pipeline
- *  audited is the one the tape executes.  The tape lands in ctx.tape
- *  (shared_ptr; consumers keep it past the pipeline), and the
- *  tape-ready postcondition replays it record by record. */
-class TapeCompilePass : public Pass
-{
-  public:
-    const char *name() const override { return "tape_compile"; }
-    std::vector<Invariant> preconditions() const override
-    {
-        return {Invariant::kMemoryPlanned};
-    }
-    std::vector<Invariant> establishes() const override
-    {
-        return {Invariant::kTapeReady};
-    }
-    void
-    run(PipelineContext &ctx) override
-    {
-        ECHO_CHECK(ctx.has_plan,
-                   "tape_compile needs the plan pass's memory plan");
-        const std::vector<graph::Val> eff = ctx.effectiveFetches();
-        ECHO_CHECK(!eff.empty(), "tape_compile needs fetches");
-        ctx.tape = std::make_shared<graph::Tape>(eff, ctx.plan_liveness,
-                                                 ctx.plan);
-    }
-    std::vector<std::string> postconditionCheckers() const override
-    {
-        return {"graph-verify", "tape-ready"};
     }
 };
 
@@ -331,10 +281,8 @@ class RecomputeBudgetPass : public Pass
     }
     std::vector<Invariant> invalidates() const override
     {
-        // Same rewrite machinery as the recompute pass; the rewrite
-        // plus the re-plan both orphan any compiled tape.
-        return {Invariant::kFusionJournal, Invariant::kDifferentiable,
-                Invariant::kTapeReady};
+        // Same rewrite machinery as the recompute pass.
+        return {Invariant::kFusionJournal, Invariant::kDifferentiable};
     }
 
     bool
@@ -462,15 +410,7 @@ ensureBuiltinPasses()
         registerPass("verify", factoryOf<VerifyPass>());
         registerPass("plan", factoryOf<PlanPass>());
         registerPass("recompute_budget", factoryOf<RecomputeBudgetPass>());
-        registerPass("tape_compile", factoryOf<TapeCompilePass>());
     });
-}
-
-bool
-envEquals(const char *name, const char *value)
-{
-    const char *env = std::getenv(name);
-    return env != nullptr && std::strcmp(env, value) == 0;
 }
 
 std::string
@@ -653,30 +593,7 @@ resolveSpec(PipelineKind kind, const std::string &requested)
         env != nullptr && env[0] != '\0') {
         return env;
     }
-
-    std::vector<std::string> names = parseSpec(defaultSpec(kind));
-    if (envEquals("ECHO_FUSION", "0")) {
-        static std::once_flag warned;
-        std::call_once(warned, [] {
-            ECHO_WARN("ECHO_FUSION=0 is deprecated; set ECHO_PASSES to a "
-                      "spec without 'fusion' instead (rewriting the "
-                      "default pipeline)");
-        });
-        names.erase(std::remove(names.begin(), names.end(), "fusion"),
-                    names.end());
-    }
-    if (envEquals("ECHO_VERIFY", "1")) {
-        static std::once_flag warned;
-        std::call_once(warned, [] {
-            ECHO_WARN("ECHO_VERIFY=1 is deprecated; append 'verify' to "
-                      "ECHO_PASSES instead (rewriting the default "
-                      "pipeline)");
-        });
-        names.push_back("verify");
-    }
-    if (names.empty())
-        return "none";
-    return joinSpec(names);
+    return defaultSpec(kind);
 }
 
 PassManager

@@ -20,11 +20,7 @@
  * key=value pairs, since ',' separates passes — which makePass feeds
  * through Pass::configure before the pass joins the pipeline.  The
  * spec call sites should actually run comes from resolveSpec(), which
- * honours ECHO_PASSES verbatim and rewrites the default spec for the
- * deprecated ECHO_FUSION=0 / ECHO_VERIFY=1 aliases (one-time warning):
- *
- *   ECHO_FUSION=0  -> remove "fusion" from the default spec
- *   ECHO_VERIFY=1  -> append "verify" to the default spec
+ * honours ECHO_PASSES verbatim and otherwise returns the default spec.
  */
 #ifndef ECHO_PASS_BUILTIN_PASSES_H
 #define ECHO_PASS_BUILTIN_PASSES_H
@@ -96,9 +92,7 @@ std::string defaultSpec(PipelineKind kind);
 /**
  * The spec a call site should run: @p requested when non-empty (a
  * constructor argument wins over everything), else ECHO_PASSES
- * verbatim, else defaultSpec(kind) rewritten by the deprecated
- * ECHO_FUSION=0 / ECHO_VERIFY=1 aliases, each with a one-time
- * deprecation warning.
+ * verbatim, else defaultSpec(kind).
  */
 std::string resolveSpec(PipelineKind kind,
                         const std::string &requested = "");

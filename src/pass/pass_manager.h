@@ -17,8 +17,8 @@
  *  (b) runs the matching analysis:: checkers as machine-checked
  *      postconditions after each pass (graph verifier, lifetime
  *      analyzer, hazard detector, auditFusion, auditRecomputePass,
- *      the memory-plan and tape replays — see the checker registry),
- *      never trusting a transform's own bookkeeping;
+ *      the memory-plan and plan-feasible replays — see the checker
+ *      registry), never trusting a transform's own bookkeeping;
  *
  *  (c) records a per-pass IR snapshot diff (node / reachable / value /
  *      byte deltas) through obs spans and counters, so a trace of a
@@ -46,10 +46,6 @@
 #include "memory/planner.h"
 #include "pass/contracts.h"
 #include "rnn/rnn_config.h"
-
-namespace echo::graph {
-class Tape;
-} // namespace echo::graph
 
 namespace echo::pass {
 
@@ -107,12 +103,6 @@ struct PipelineContext
     budget::BudgetConfig budget_config;
     budget::BudgetPlan budget_plan;
     bool has_budget_plan = false;
-
-    /** Execution tape compiled against `plan` (tape_compile pass; the
-     *  tape-ready checker replays it against its liveness analysis).
-     *  shared_ptr so pipeline consumers — trainers, serving sessions —
-     *  can keep running the tape after the context is gone. */
-    std::shared_ptr<graph::Tape> tape;
 
     /** Invariants currently established.  Seeded by PassManager::run
      *  from initialInvariants() and maintained across passes; checkers

@@ -12,9 +12,9 @@
  * constructor — no heap traffic), and fall back to the heap when no
  * slot matches (counted as `tape.arena_miss`, never incorrect).
  *
- * The hook is strictly thread-local: arming it on one thread never
- * affects allocations on another, which is what makes the parallel
- * tape safe — each worker arms its own hook around its own record.
+ * The hook is strictly thread-local: arming it on the tape's thread
+ * never affects allocations that an op's kernel makes on pool
+ * workers; those always go to the heap.
  */
 #ifndef ECHO_TENSOR_ALLOC_HOOK_H
 #define ECHO_TENSOR_ALLOC_HOOK_H

@@ -17,10 +17,9 @@ runTrainingLoop(const graph::Executor &executor,
                     &apply_grads,
                 const std::function<double()> &validate)
 {
-    // Verification now happens inside the pass pipeline that built the
-    // training graph: ECHO_VERIFY=1 is a deprecated alias that appends
-    // the "verify" pass to the default ECHO_PASSES spec, so the
-    // checkers run between passes (not just once here, after the
+    // Verification happens inside the pass pipeline that built the
+    // training graph: appending the "verify" pass to ECHO_PASSES runs
+    // the checkers between passes (not just once here, after the
     // fact).  See pass::resolveSpec.
 
     std::vector<CurvePoint> curve;

@@ -45,27 +45,31 @@ namespace ol = graph::oplib;
 using graph::Graph;
 using graph::Val;
 
-/** Set ECHO_FUSION for a scope and restore the old value on exit. */
-class FusionEnv
+/** The explicit pipeline specs the unfused/fused baselines use. */
+constexpr const char *kUnfused = "autodiff";
+constexpr const char *kFused = "autodiff,fusion";
+
+/** Set ECHO_PASSES for a scope and restore the old value on exit. */
+class PassesEnv
 {
   public:
-    explicit FusionEnv(const char *value)
+    explicit PassesEnv(const char *value)
     {
-        const char *old = std::getenv("ECHO_FUSION");
+        const char *old = std::getenv("ECHO_PASSES");
         had_old_ = old != nullptr;
         if (had_old_)
             old_ = old;
         if (value == nullptr)
-            unsetenv("ECHO_FUSION");
+            unsetenv("ECHO_PASSES");
         else
-            setenv("ECHO_FUSION", value, 1);
+            setenv("ECHO_PASSES", value, 1);
     }
-    ~FusionEnv()
+    ~PassesEnv()
     {
         if (had_old_)
-            setenv("ECHO_FUSION", old_.c_str(), 1);
+            setenv("ECHO_PASSES", old_.c_str(), 1);
         else
-            unsetenv("ECHO_FUSION");
+            unsetenv("ECHO_PASSES");
     }
 
   private:
@@ -178,8 +182,8 @@ TEST(Fusion, FetchedAndExternallyConsumedValuesStayMaterialized)
 
 TEST(Fusion, GroupsNeverSpanPhasesOrTimeSteps)
 {
-    FusionEnv env("0"); // fuse explicitly below, after autodiff
-    models::WordLmModel model(smallConfig());
+    // Fuse explicitly below, after autodiff.
+    models::WordLmModel model(smallConfig(), kUnfused);
     const FusionResult r =
         runFusionPass(model.graph(), model.fetches());
     ASSERT_GT(r.num_groups, 0);
@@ -194,15 +198,8 @@ TEST(Fusion, GroupsNeverSpanPhasesOrTimeSteps)
 TEST(Fusion, WordLmTrainingByteIdenticalAcrossThreads)
 {
     const models::WordLmConfig cfg = smallConfig();
-    std::unique_ptr<models::WordLmModel> unfused, fused;
-    {
-        FusionEnv env("0");
-        unfused = std::make_unique<models::WordLmModel>(cfg);
-    }
-    {
-        FusionEnv env("1");
-        fused = std::make_unique<models::WordLmModel>(cfg);
-    }
+    const auto unfused = std::make_unique<models::WordLmModel>(cfg, kUnfused);
+    const auto fused = std::make_unique<models::WordLmModel>(cfg, kFused);
     ASSERT_GT(fused->fusionResult().num_groups, 0);
 
     Rng rng(7);
@@ -238,15 +235,11 @@ TEST(Fusion, WordLmTrainingByteIdenticalAcrossThreads)
 TEST(Fusion, StepDecoderByteIdenticalFusedVsUnfused)
 {
     models::WordLmConfig cfg = smallConfig();
-    std::unique_ptr<models::WordLmStepper> unfused, fused;
-    {
-        FusionEnv env("0");
-        unfused = std::make_unique<models::WordLmStepper>(cfg, 3);
-    }
-    {
-        FusionEnv env("1");
-        fused = std::make_unique<models::WordLmStepper>(cfg, 3);
-    }
+    // The serve-wordlm preset with and without its fusion pass.
+    const auto unfused = std::make_unique<models::WordLmStepper>(
+        cfg, 3, graph::ExecMode::kAuto, "gemm_warm");
+    const auto fused = std::make_unique<models::WordLmStepper>(
+        cfg, 3, graph::ExecMode::kAuto, "fusion,gemm_warm");
 
     Rng rng(21);
     models::WordLmModel ref_model(cfg);
@@ -273,7 +266,6 @@ TEST(Fusion, StepDecoderByteIdenticalFusedVsUnfused)
 
 TEST(Fusion, CountersAreDeterministicAcrossIdenticalBuilds)
 {
-    FusionEnv env("1");
     auto counterValue = [](const std::string &name) {
         for (const obs::CounterSample &c : obs::snapshotCounters())
             if (c.name == name) {
@@ -289,12 +281,12 @@ TEST(Fusion, CountersAreDeterministicAcrossIdenticalBuilds)
     int64_t before[4], delta1[4];
     for (int i = 0; i < 4; ++i)
         before[i] = counterValue(names[i]);
-    models::WordLmModel first(smallConfig());
+    models::WordLmModel first(smallConfig(), kFused);
     for (int i = 0; i < 4; ++i)
         delta1[i] = counterValue(names[i]) - before[i];
     for (int i = 0; i < 4; ++i)
         before[i] = counterValue(names[i]);
-    models::WordLmModel second(smallConfig());
+    models::WordLmModel second(smallConfig(), kFused);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(counterValue(names[i]) - before[i], delta1[i])
             << names[i];
@@ -341,15 +333,13 @@ TEST(Fusion, ShrinksTransientFootprint)
 
     int64_t integral_u, integral_f, peak_u, peak_f;
     {
-        FusionEnv env("0");
-        models::WordLmModel model(cfg);
+        models::WordLmModel model(cfg, kUnfused);
         integral_u = transientIntegral(memory::analyzeLiveness(
             model.fetches(), model.weightGrads()));
         peak_u = poolPeakUnderRecompute(model);
     }
     {
-        FusionEnv env("1");
-        models::WordLmModel model(cfg);
+        models::WordLmModel model(cfg, kFused);
         ASSERT_GT(model.fusionResult().bytes_elided, 0);
         integral_f = transientIntegral(memory::analyzeLiveness(
             model.fetches(), model.weightGrads()));
@@ -361,8 +351,7 @@ TEST(Fusion, ShrinksTransientFootprint)
 
 TEST(Fusion, AuditCleanOnWordLmAndCatchesTampering)
 {
-    FusionEnv env("1");
-    models::WordLmModel model(smallConfig());
+    models::WordLmModel model(smallConfig(), kFused);
     const FusionResult &r = model.fusionResult();
     ASSERT_GT(r.num_groups, 0);
     EXPECT_TRUE(analysis::auditFusion(model.fetches(), r).ok());
@@ -425,8 +414,7 @@ TEST(Fusion, AuditCleanOnWordLmAndCatchesTampering)
 
 TEST(Fusion, RecomputePassRewritesAndAuditsCleanlyOnFusedGraph)
 {
-    FusionEnv env("1");
-    models::WordLmModel model(smallConfig());
+    models::WordLmModel model(smallConfig(), kFused);
     ASSERT_GT(model.fusionResult().num_groups, 0);
 
     const analysis::GraphSnapshot snapshot = analysis::snapshotGraph(
@@ -447,23 +435,17 @@ TEST(Fusion, RecomputePassRewritesAndAuditsCleanlyOnFusedGraph)
 
 TEST(Fusion, EnvSwitchDisablesPass)
 {
+    // ECHO_PASSES is the switch: a spec without "fusion" leaves the
+    // training graph unfused; unset, the default pipeline fuses.
     {
-        FusionEnv env("0");
-        EXPECT_FALSE(fusionEnvEnabled());
-        Graph g;
-        const Val a = g.placeholder(Shape({2, 2}), "a");
-        const Val b =
-            g.apply1(ol::tanhOp(), {g.apply1(ol::sigmoidOp(), {a})});
-        EXPECT_EQ(fuseIfEnabled(g, {b}).num_groups, 0);
-        EXPECT_EQ(b.node->op->name(), "tanh");
+        PassesEnv env(kUnfused);
+        models::WordLmModel model(smallConfig());
+        EXPECT_EQ(model.fusionResult().num_groups, 0);
     }
     {
-        FusionEnv env("1");
-        EXPECT_TRUE(fusionEnvEnabled());
-    }
-    {
-        FusionEnv env(nullptr); // unset = on by default
-        EXPECT_TRUE(fusionEnvEnabled());
+        PassesEnv env(nullptr);
+        models::WordLmModel model(smallConfig());
+        EXPECT_GT(model.fusionResult().num_groups, 0);
     }
 }
 

@@ -533,19 +533,15 @@ TEST_P(PassFuzz, TapeMatchesInterpreterBitForBit)
         ThreadPool::setGlobalNumThreads(threads);
         const auto ref = ex.run(feed);
         tape.bindFeeds(feed);
-        for (const bool parallel : {false, true}) {
-            const auto out = tape.run(parallel);
-            const analysis::VerifyResult vr =
-                analysis::compareFetches(out, ref);
-            EXPECT_TRUE(vr.shapes_match)
-                << repro(seed) << " threads=" << threads
-                << " parallel=" << parallel;
-            // Loss AND every weight gradient, bit for bit: running
-            // from the arena may never change a single output bit.
-            EXPECT_EQ(vr.max_abs_diff, 0.0)
-                << repro(seed) << " threads=" << threads
-                << " parallel=" << parallel;
-        }
+        const auto out = tape.run();
+        const analysis::VerifyResult vr =
+            analysis::compareFetches(out, ref);
+        EXPECT_TRUE(vr.shapes_match)
+            << repro(seed) << " threads=" << threads;
+        // Loss AND every weight gradient, bit for bit: running from
+        // the arena may never change a single output bit.
+        EXPECT_EQ(vr.max_abs_diff, 0.0)
+            << repro(seed) << " threads=" << threads;
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }

@@ -470,50 +470,19 @@ TEST(Serialize, WritesVersionedHeader)
     EXPECT_EQ(reserved, 0u);
 }
 
-/** Write @p params in the legacy headerless "ECHO0001" layout. */
-void
-writeLegacyCheckpoint(const ParamStore &params, const std::string &path)
+TEST(Serialize, RejectsLegacyHeaderlessFormat)
 {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write("ECHO0001", 8);
-    const auto u64 = [&](uint64_t v) {
-        os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-    };
-    u64(params.size());
-    for (const auto &[name, tensor] : params) {
-        u64(name.size());
-        os.write(name.data(),
-                 static_cast<std::streamsize>(name.size()));
-        u64(static_cast<uint64_t>(tensor.shape().ndim()));
-        for (int d = 0; d < tensor.shape().ndim(); ++d) {
-            const int64_t extent = tensor.shape()[d];
-            os.write(reinterpret_cast<const char *>(&extent),
-                     sizeof(extent));
-        }
-        os.write(reinterpret_cast<const char *>(tensor.data()),
-                 static_cast<std::streamsize>(tensor.numel() *
-                                              sizeof(float)));
+    // The retired headerless "ECHO0001" layout: magic, then the body
+    // with no version word.  Only ECHOCKPT files load.
+    const std::string path = ::testing::TempDir() + "echo_legacy.ckpt";
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write("ECHO0001", 8);
+        const uint64_t count = 0;
+        os.write(reinterpret_cast<const char *>(&count), sizeof(count));
     }
-}
-
-TEST(Serialize, ReadsLegacyHeaderlessFormat)
-{
-    Rng rng(47);
-    ParamStore params;
-    params["layer.w"] = Tensor::uniform(Shape({4, 3}), rng);
-    params["layer.b"] = Tensor::uniform(Shape({3}), rng);
-    const std::string path =
-        ::testing::TempDir() + "echo_legacy.ckpt";
-    writeLegacyCheckpoint(params, path);
-
-    const ParamStore restored = loadParams(path);
-    ASSERT_EQ(restored.size(), params.size());
-    for (const auto &[name, tensor] : params) {
-        const auto it = restored.find(name);
-        ASSERT_NE(it, restored.end()) << name;
-        for (int64_t i = 0; i < tensor.numel(); ++i)
-            EXPECT_EQ(it->second.at(i), tensor.at(i));
-    }
+    EXPECT_EXIT({ loadParams(path); },
+                ::testing::ExitedWithCode(1), "not an ECHO checkpoint");
 }
 
 TEST(Serialize, RejectsTruncatedFile)

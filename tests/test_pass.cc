@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the contract-checked pass manager: spec parsing and env
- * alias resolution, static pipeline-legality validation (including the
+ * resolution, static pipeline-legality validation (including the
  * exact diagnostics for the canonical illegal orderings), postcondition
  * checking against a deliberately invariant-breaking pass, per-stage IR
  * snapshot diffs, and the byte-identity contract across every legal
@@ -104,7 +104,6 @@ TEST(PassSpec, DefaultsPerPipelineKind)
 TEST(PassSpec, ExplicitRequestWinsOverEnv)
 {
     ScopedEnv passes("ECHO_PASSES", "fusion");
-    ScopedEnv fus("ECHO_FUSION", "0");
     EXPECT_EQ(resolveSpec(PipelineKind::kTraining, "autodiff,recompute"),
               "autodiff,recompute");
 }
@@ -112,38 +111,21 @@ TEST(PassSpec, ExplicitRequestWinsOverEnv)
 TEST(PassSpec, EchoPassesEnvOverridesDefault)
 {
     ScopedEnv passes("ECHO_PASSES", "autodiff,recompute");
-    ScopedEnv fus("ECHO_FUSION", nullptr);
-    ScopedEnv ver("ECHO_VERIFY", nullptr);
     EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""),
               "autodiff,recompute");
 }
 
-TEST(PassSpec, DeprecatedFusionAliasRewritesDefault)
+TEST(PassSpec, RetiredAliasesLeaveDefaultSpec)
 {
-    ScopedEnv passes("ECHO_PASSES", nullptr);
-    ScopedEnv fus("ECHO_FUSION", "0");
-    ScopedEnv ver("ECHO_VERIFY", nullptr);
-    EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""), "autodiff");
-    // The inference default is fusion alone, so the alias empties it.
-    EXPECT_EQ(resolveSpec(PipelineKind::kInference, ""), "none");
-}
-
-TEST(PassSpec, DeprecatedVerifyAliasAppendsVerifyPass)
-{
-    ScopedEnv passes("ECHO_PASSES", nullptr);
-    ScopedEnv fus("ECHO_FUSION", nullptr);
-    ScopedEnv ver("ECHO_VERIFY", "1");
-    EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""),
-              "autodiff,fusion,verify");
-}
-
-TEST(PassSpec, BothAliasesCompose)
-{
+    // ECHO_FUSION and ECHO_VERIFY no longer rewrite the default spec;
+    // ECHO_PASSES is the one pipeline switch.
     ScopedEnv passes("ECHO_PASSES", nullptr);
     ScopedEnv fus("ECHO_FUSION", "0");
     ScopedEnv ver("ECHO_VERIFY", "1");
     EXPECT_EQ(resolveSpec(PipelineKind::kTraining, ""),
-              "autodiff,verify");
+              defaultSpec(PipelineKind::kTraining));
+    EXPECT_EQ(resolveSpec(PipelineKind::kInference, ""),
+              defaultSpec(PipelineKind::kInference));
 }
 
 TEST(PassRegistry, BuiltinsRegisteredUnknownsNot)
@@ -156,6 +138,8 @@ TEST(PassRegistry, BuiltinsRegisteredUnknownsNot)
     EXPECT_TRUE(isRegisteredPass("audit_fusion"));
     EXPECT_TRUE(isRegisteredPass("verify"));
     EXPECT_FALSE(isRegisteredPass("bogus"));
+    // The tape is compiled by Executor::compile(), not by a pass.
+    EXPECT_FALSE(isRegisteredPass("tape_compile"));
     EXPECT_EQ(makePass("bogus"), nullptr);
 }
 
@@ -163,10 +147,13 @@ TEST(PassRegistry, BuiltinCheckersResolvable)
 {
     for (const char *name :
          {"graph-verify", "lifetime", "hazards", "fusion-audit",
-          "recompute-audit"}) {
+          "recompute-audit", "memory-plan", "plan-feasible"}) {
         EXPECT_NE(findChecker(name), nullptr) << name;
     }
     EXPECT_EQ(findChecker("bogus-checker"), nullptr);
+    // Tapes are audited by echo-lint --tape and the tape tests, not
+    // by a pipeline checker.
+    EXPECT_EQ(findChecker("tape-ready"), nullptr);
 }
 
 // ---------------------------------------------------------------------

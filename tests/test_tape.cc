@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the steady-state execution tape (graph/tape.h), its pass
- * integration (tape_compile / tape-ready), and the persistent
- * packed-weight cache (tensor/pack_cache.h):
+ * Tests for the steady-state execution tape (graph/tape.h) and the
+ * persistent packed-weight cache (tensor/pack_cache.h):
  *
  *  - tape runs are byte-identical to the interpreter on the word-LM
- *    and NMT training presets, serial and parallel, at 1/2/4 threads;
+ *    and NMT training presets at 1/2/4 threads;
  *  - the tape arena equals the planner's pool peak EXACTLY and
  *    analysis::auditTape replays the records clean;
  *  - index-bound feeds perform zero hash lookups per run, and the
@@ -32,8 +31,6 @@
 #include "models/nmt.h"
 #include "models/word_lm.h"
 #include "obs/counters.h"
-#include "pass/builtin_passes.h"
-#include "pass/pass_manager.h"
 #include "tensor/pack_cache.h"
 #include "tensor/pack_scratch.h"
 
@@ -91,7 +88,7 @@ tinyParallelCorpus()
     return data::ParallelCorpus::generate(cfg);
 }
 
-/** Interpreter reference vs tape (serial and parallel), bit for bit. */
+/** Interpreter reference vs tape, bit for bit. */
 void
 expectTapeMatchesInterpreter(const std::vector<Val> &fetches,
                              const FeedDict &feed, const char *what)
@@ -104,17 +101,11 @@ expectTapeMatchesInterpreter(const std::vector<Val> &fetches,
         ThreadPool::setGlobalNumThreads(threads);
         const std::vector<Tensor> ref = ex.run(feed);
         tape.bindFeeds(feed);
-        for (const bool parallel : {false, true}) {
-            const std::vector<Tensor> out = tape.run(parallel);
-            const analysis::VerifyResult vr =
-                analysis::compareFetches(out, ref);
-            EXPECT_TRUE(vr.shapes_match)
-                << what << " threads=" << threads
-                << " parallel=" << parallel;
-            EXPECT_EQ(vr.max_abs_diff, 0.0)
-                << what << " threads=" << threads
-                << " parallel=" << parallel;
-        }
+        const std::vector<Tensor> out = tape.run();
+        const analysis::VerifyResult vr =
+            analysis::compareFetches(out, ref);
+        EXPECT_TRUE(vr.shapes_match) << what << " threads=" << threads;
+        EXPECT_EQ(vr.max_abs_diff, 0.0) << what << " threads=" << threads;
     }
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
 }
@@ -146,7 +137,9 @@ TEST(TapeNmt, ByteIdenticalToInterpreterAtEveryThreadCount)
 TEST(TapeWordLm, ArenaEqualsPlannerPeakAndAuditsClean)
 {
     models::WordLmModel model(tinyLmConfig());
-    Tape tape(model.fetches());
+    // Audit the tape the executor runs under ECHO_TAPE=on.
+    const Executor ex(model.fetches());
+    const Tape &tape = ex.compile();
     // The plan IS the allocator: sized to the peak, byte for byte.
     EXPECT_EQ(tape.arenaBytes(), tape.plan().pool_peak_bytes);
     EXPECT_GT(tape.arenaBytes(), 0);
@@ -157,7 +150,8 @@ TEST(TapeWordLm, ArenaEqualsPlannerPeakAndAuditsClean)
 TEST(TapeNmt, AuditReplaysRecordsClean)
 {
     models::NmtModel model(tinyNmtConfig());
-    Tape tape(model.fetches());
+    const Executor ex(model.fetches());
+    const Tape &tape = ex.compile();
     EXPECT_EQ(tape.arenaBytes(), tape.plan().pool_peak_bytes);
     const analysis::AnalysisReport report = analysis::auditTape(tape);
     EXPECT_TRUE(report.ok()) << report.toString();
@@ -187,7 +181,7 @@ TEST(TapeFeeds, IndexBoundBindingSkipsHashLookups)
 
     // Reference run through the hashing path.
     tape.bindFeeds(feed);
-    const std::vector<Tensor> ref = tape.run(false);
+    const std::vector<Tensor> ref = tape.run();
     std::vector<Tensor> ref_copy;
     for (const Tensor &t : ref)
         ref_copy.push_back(t.clone());
@@ -200,7 +194,7 @@ TEST(TapeFeeds, IndexBoundBindingSkipsHashLookups)
     for (int iter = 0; iter < 3; ++iter) {
         for (const auto &[idx, t] : bound)
             tape.bindFeed(idx, *t);
-        tape.runInto(out, false);
+        tape.runInto(out);
         const analysis::VerifyResult vr =
             analysis::compareFetches(out, ref_copy);
         EXPECT_TRUE(vr.shapes_match) << "iter " << iter;
@@ -231,113 +225,17 @@ TEST(TapeSteadyState, ArenaServesAllTransientsOnSimpleGraphs)
     Tape tape({y});
     tape.bindFeeds(feed);
     std::vector<Tensor> out;
-    tape.runInto(out, false); // warm
+    tape.runInto(out); // warm
     const int64_t misses_before =
         obs::counter("tape.arena_miss", obs::CounterKind::kScheduling)
             .value();
     for (int iter = 0; iter < 4; ++iter)
-        tape.runInto(out, false);
+        tape.runInto(out);
     EXPECT_EQ(obs::counter("tape.arena_miss",
                            obs::CounterKind::kScheduling)
                   .value(),
               misses_before);
     ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
-}
-
-// ---------------------------------------------------------------------
-// Pass integration
-// ---------------------------------------------------------------------
-
-TEST(TapePipeline, CompilePassEstablishesTapeReadyAndAuditsClean)
-{
-    models::WordLmModel model(tinyLmConfig(),
-                              "autodiff,plan,tape_compile");
-    // die_on_error inside the model ctor means reaching here implies
-    // the tape-ready postcondition replayed the tape clean.
-    ASSERT_TRUE(model.pipelineReport().ok())
-        << model.pipelineReport().toString();
-    bool tape_checker_ran = false;
-    for (const pass::StageReport &stage : model.pipelineReport().stages) {
-        if (stage.pass == "tape_compile") {
-            tape_checker_ran =
-                std::find(stage.checkers_run.begin(),
-                          stage.checkers_run.end(),
-                          "tape-ready") != stage.checkers_run.end();
-        }
-    }
-    EXPECT_TRUE(tape_checker_ran);
-}
-
-TEST(TapePipeline, ContextKeepsTheTapeAndItMatchesTheInterpreter)
-{
-    models::WordLmConfig cfg = tinyLmConfig();
-    data::Corpus corpus = tinyCorpus();
-    data::LmBatcher batcher(corpus, cfg.batch, cfg.seq_len);
-
-    // Reference model (plain autodiff) for byte-comparison.
-    models::WordLmModel model(cfg, "autodiff");
-    Rng rng(13);
-    models::ParamStore params = model.initialParams(rng);
-    const FeedDict feed = model.makeFeed(params, batcher.next());
-
-    // Re-run the pipeline with tape_compile over the SAME graph shape
-    // via a fresh model, then execute its tape.
-    models::WordLmModel taped(cfg, "autodiff,plan,tape_compile");
-    models::ParamStore taped_params = [&] {
-        Rng r(13);
-        return taped.initialParams(r);
-    }();
-    const FeedDict taped_feed =
-        taped.makeFeed(taped_params, [&] {
-            data::LmBatcher b(corpus, cfg.batch, cfg.seq_len);
-            return b.next();
-        }());
-
-    ThreadPool::setGlobalNumThreads(1);
-    Executor ref_ex(model.fetches(), ExecMode::kSerial);
-    const std::vector<Tensor> ref = ref_ex.run(feed);
-
-    Tape tape(taped.fetches());
-    tape.bindFeeds(taped_feed);
-    const std::vector<Tensor> out = tape.run(false);
-    const analysis::VerifyResult vr = analysis::compareFetches(out, ref);
-    EXPECT_TRUE(vr.shapes_match);
-    EXPECT_EQ(vr.max_abs_diff, 0.0);
-    ThreadPool::setGlobalNumThreads(ThreadPool::defaultNumThreads());
-}
-
-TEST(TapePipeline, CompileWithoutPlanRejectedStatically)
-{
-    const pass::PassManager pm =
-        pass::buildPipeline("autodiff,tape_compile");
-    const std::vector<pass::ContractViolation> violations =
-        pm.validate({pass::Invariant::kDifferentiable});
-    ASSERT_EQ(violations.size(), 1u);
-    EXPECT_EQ(violations[0].pass, "tape_compile");
-    EXPECT_EQ(violations[0].invariant, pass::Invariant::kMemoryPlanned);
-}
-
-TEST(TapePipeline, GraphRewritesClobberTapeReady)
-{
-    // fusion after tape_compile invalidates kTapeReady, so a pipeline
-    // that re-audits the tape afterwards must be statically illegal.
-    // (audit is modeled by tape_compile's own precondition chain: a
-    // second tape_compile re-establishes; here we check the invalidate
-    // edge directly.)
-    const pass::PassManager pm = pass::buildPipeline(
-        "autodiff,plan,tape_compile,fusion");
-    const std::vector<pass::ContractViolation> violations =
-        pm.validate({pass::Invariant::kDifferentiable});
-    EXPECT_TRUE(violations.empty());
-    bool found = false;
-    for (size_t i = 0; i < pm.size(); ++i) {
-        if (std::string(pm.at(i).name()) == "fusion") {
-            const auto inv = pm.at(i).invalidates();
-            found = std::find(inv.begin(), inv.end(),
-                              pass::Invariant::kTapeReady) != inv.end();
-        }
-    }
-    EXPECT_TRUE(found);
 }
 
 // ---------------------------------------------------------------------

@@ -20,11 +20,12 @@
  * or malformed.
  *
  * A third mode audits compiled execution tapes: --tape compiles each
- * model's training schedule into a graph::Tape (the planner-addressed
- * steady-state form, graph/tape.h) and replays its records against the
- * liveness analyzer — arena sized to the planned peak byte for byte,
- * every transient at its planned offset, no overlapping live buffers,
- * no leaks, high-water equal to pool_peak_bytes.  Exit status is the
+ * model's training schedule into the graph::Tape its executor runs
+ * under ECHO_TAPE=on (Executor::compile(), graph/tape.h) and replays
+ * its records against the liveness analyzer — arena sized to the
+ * planned peak byte for byte, every transient at its planned offset
+ * and freed exactly once at its last use, no overlapping live
+ * buffers, high-water equal to pool_peak_bytes.  Exit status is the
  * number of tapes with errors.
  *
  * A fourth mode replays an arbitrary pass pipeline under the contract
@@ -265,17 +266,15 @@ lintServeJournal(const LintOptions &opts)
 }
 
 /**
- * Compile one model's full training schedule (fetches + weight grads)
- * into an execution tape and replay it against the liveness analyzer.
+ * Compile one model's training fetches (loss + weight grads) into the
+ * tape its executor runs and replay it against the liveness analyzer.
  */
 int
 lintOneTape(const std::vector<graph::Val> &fetches,
-            const std::vector<graph::Val> &weight_grads,
             const std::string &title)
 {
-    std::vector<graph::Val> all = fetches;
-    all.insert(all.end(), weight_grads.begin(), weight_grads.end());
-    const graph::Tape tape(all);
+    const graph::Executor executor(fetches);
+    const graph::Tape &tape = executor.compile();
     std::cout << "== " << title << " tape ("
               << tape.records().size() << " records, arena "
               << tape.arenaBytes() << " B, persistent "
@@ -303,8 +302,7 @@ lintTapes(const LintOptions &opts)
         cfg.batch = 4;
         cfg.seq_len = 10;
         models::WordLmModel model(cfg);
-        failures += lintOneTape(model.fetches(), model.weightGrads(),
-                                "word_lm");
+        failures += lintOneTape(model.fetches(), "word_lm");
     }
     if (opts.model == "nmt" || opts.model == "all") {
         models::NmtConfig cfg;
@@ -316,8 +314,7 @@ lintTapes(const LintOptions &opts)
         cfg.src_len = 8;
         cfg.tgt_len = 8;
         models::NmtModel model(cfg);
-        failures += lintOneTape(model.fetches(), model.weightGrads(),
-                                "nmt");
+        failures += lintOneTape(model.fetches(), "nmt");
     }
     if (failures == 0)
         std::cout << "echo-lint: all tapes clean\n";
